@@ -7,9 +7,12 @@ by composition. Tensors wrap contiguous numpy arrays; every operation is
 deterministic and the backward pass visits nodes in reverse topological
 order, so identical inputs give bitwise-identical outputs and gradients.
 
-No hardware acceleration, no operator fusion: values stay small enough here
-that plain vectorized numpy is fast enough, and the simple graph makes the
-finite-difference verifier (``gradcheck``) trustworthy.
+No hardware acceleration and no fusion across operations: each primitive
+is one graph node, which keeps the finite-difference verifier
+(``gradcheck``) trustworthy. Inside a primitive, the hot paths are lowered
+to BLAS matrix products (``temporal_conv`` via im2col, ``channel_mix`` via
+``tensordot``), because per-tap or per-element numpy loops dominate the
+run time at the model's sizes.
 """
 
 from __future__ import annotations
@@ -447,12 +450,31 @@ def gather_rows(a, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """Unfold a padded (N, C_in, T + K - 1) input into the (N*T, C_in*K)
+    column matrix whose row ``n*T + t`` is the window ``xp[n, :, t:t+K]``,
+    flattened as ``i*K + j`` to match ``kernel.reshape(C_out, C_in*K)``."""
+    n, c_in, width = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    return windows.transpose(0, 2, 1, 3).reshape(n * (width - k + 1), c_in * k)
+
+
 def temporal_conv(x, kernel, bias=None) -> Tensor:
     """Same-padded convolution over the trailing time axis.
 
     ``x`` has shape (N, C_in, T) and ``kernel`` (C_out, C_in, K) with K odd;
     each of the N rows is convolved independently, zero padding K//2 frames on
     each side so the time length is preserved.
+
+    Lowered to im2col: the padded input is unfolded into an (N*T, C_in*K)
+    column matrix, so the forward pass is one matrix product with the
+    kernel flattened to (C_out, C_in*K). Backward is two more: the kernel
+    gradient is ``g^T @ cols`` and the column gradient ``g @ kernel`` is
+    folded back over the K taps onto the padded input, then cropped. The
+    backward closure keeps only the padded input and rebuilds the columns
+    when it runs: holding the K-times-larger column matrix of every
+    convolution in the graph until backward raises peak memory in training
+    for no gain in speed.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
@@ -470,10 +492,10 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
         raise DimensionError(f"temporal_conv: kernel width must be odd, got {k}")
     pad = k // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    out_data = np.zeros((n, c_out, t), dtype=x.data.dtype)
-    for j in range(k):
-        # out[n,o,t] += sum_i kernel[o,i,j] * xp[n,i,t+j]
-        out_data += np.einsum("oi,nit->not", kernel.data[:, :, j], xp[:, :, j : j + t])
+    w2 = kernel.data.reshape(c_out, c_in * k)
+    # (N*T, C_out) -> (N, C_out, T), contiguous and in the input's dtype
+    out_data = (_im2col(xp, k) @ w2.T).reshape(n, t, c_out).transpose(0, 2, 1)
+    out_data = out_data.astype(x.data.dtype, order="C")
     parents = [x, kernel]
     if bias is not None:
         bias = as_tensor(bias)
@@ -485,18 +507,16 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
         parents.append(bias)
 
     def backward(g):
+        g2 = g.transpose(0, 2, 1).reshape(n * t, c_out)
         if x.requires_grad:
+            gcols = (g2 @ kernel.data.reshape(c_out, c_in * k)).reshape(n, t, c_in, k)
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[:, :, j : j + t] += np.einsum(
-                    "oi,not->nit", kernel.data[:, :, j], g
-                )
-            x._accumulate(gxp[:, :, pad : pad + t] if pad else gxp)
+                gxp[:, :, j : j + t] += gcols[:, :, :, j].transpose(0, 2, 1)
+            x._accumulate(gxp[:, :, pad : pad + t])
         if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
-            for j in range(k):
-                gk[:, :, j] = np.einsum("not,nit->oi", g, xp[:, :, j : j + t])
-            kernel._accumulate(gk)
+            gk = g2.T @ _im2col(xp, k)
+            kernel._accumulate(gk.reshape(c_out, c_in, k))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
 

@@ -16,7 +16,9 @@ their enabled components need.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -107,6 +109,18 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in known})
+
+    def require_same(self, stored: "ModelConfig") -> None:
+        """Raise FormatError naming the first field in which the ``stored``
+        (checkpoint) configuration differs from this one. Fields that leave
+        parameter shapes alone, such as ``d_d``, still change predictions."""
+        mine, theirs = self.to_dict(), stored.to_dict()
+        for key in mine:
+            if mine[key] != theirs[key]:
+                raise FormatError(
+                    f"checkpoint config field '{key}' is {theirs[key]!r}, "
+                    f"expected {mine[key]!r}"
+                )
 
 
 def _gru_specs(prefix: str, c_in: int, c_h: int):
@@ -420,12 +434,30 @@ def save_params(params: ModelParams, path) -> None:
         "model_config": params.config.to_dict(),
     })
     arrays = {name: t.data for name, t in params.items()}
-    np.savez(path, __meta__=np.array(meta), **arrays)
+    savez_atomic(path, __meta__=np.array(meta), **arrays)
+
+
+def savez_atomic(path, **arrays) -> None:
+    """``np.savez`` to exactly ``path`` without ever exposing a partial file:
+    the archive is written to a temporary file in the same directory and then
+    renamed over the target, so a killed run leaves the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path, expected_config: ModelConfig | None = None) -> ModelParams:
     """Load a parameter checkpoint, validating names and shapes against the
-    configuration recorded in the file (or ``expected_config`` if given)."""
+    configuration recorded in the file (or ``expected_config`` if given).
+    An ``expected_config`` must equal the recorded one in every field."""
     with np.load(path, allow_pickle=False) as archive:
         if "__meta__" not in archive:
             raise FormatError("not a parameter checkpoint: missing metadata")
@@ -434,9 +466,8 @@ def load_params(path, expected_config: ModelConfig | None = None) -> ModelParams
             raise FormatError(
                 f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
             )
-        config = ModelConfig.from_dict(meta["model_config"])
-        if expected_config is not None:
-            config = expected_config
+        stored_config = ModelConfig.from_dict(meta["model_config"])
+        config = expected_config if expected_config is not None else stored_config
         stored = {k: archive[k] for k in archive.files if k != "__meta__"}
     tensors = {}
     for name, shape, _ in param_specs(config):
@@ -452,4 +483,5 @@ def load_params(path, expected_config: ModelConfig | None = None) -> ModelParams
     if stored:
         extra = sorted(stored)[0]
         raise FormatError(f"unexpected parameter '{extra}' in checkpoint")
+    config.require_same(stored_config)
     return ModelParams(config, tensors)

@@ -21,7 +21,14 @@ import numpy as np
 from . import autograd as ag
 from .errors import DataError, FormatError, NumericError
 from .graphs import build_adjacency
-from .model import ModelConfig, ModelParams, forward, param_specs, prediction_loss
+from .model import (
+    ModelConfig,
+    ModelParams,
+    forward,
+    param_specs,
+    prediction_loss,
+    savez_atomic,
+)
 from .optim import Adam
 from .scene import Sample, ego_center, validate_sample
 
@@ -198,6 +205,12 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
                     f"non-finite loss at epoch {epoch}, batch {b0 // train_config.batch_size}"
                 )
             batch_loss.backward()
+            for name, tensor in params.items():
+                if not np.isfinite(tensor.grad).all():
+                    raise NumericError(
+                        f"non-finite gradient for parameter '{name}' at epoch "
+                        f"{epoch}, batch {b0 // train_config.batch_size}"
+                    )
             optimizer.step()
             loss_sum += value * len(batch)
         record.append(EpochRecord(epoch, loss_sum / n, lr,
@@ -246,11 +259,12 @@ def checkpoint_save(path, params: ModelParams, optimizer: Adam,
         arrays[f"param.{name}"] = t.data
         arrays[f"adam.m.{name}"] = optimizer.state.first_moment[name]
         arrays[f"adam.v.{name}"] = optimizer.state.second_moment[name]
-    np.savez(path, __meta__=np.array(meta), **arrays)
+    savez_atomic(path, __meta__=np.array(meta), **arrays)
 
 
 def checkpoint_load(path, expected_config: ModelConfig | None = None):
-    """Returns (params, optimizer, rng, epoch_count, record)."""
+    """Returns (params, optimizer, rng, epoch_count, record). An
+    ``expected_config`` must equal the stored one in every field."""
     with np.load(path, allow_pickle=False) as archive:
         if "__meta__" not in archive:
             raise FormatError("not a trainer checkpoint: missing metadata")
@@ -259,9 +273,8 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None):
             raise FormatError(
                 f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
             )
-        config = ModelConfig.from_dict(meta["model_config"])
-        if expected_config is not None and expected_config != config:
-            config = expected_config
+        stored_config = ModelConfig.from_dict(meta["model_config"])
+        config = expected_config if expected_config is not None else stored_config
         stored = {k: archive[k] for k in archive.files if k != "__meta__"}
 
     tensors = {}
@@ -279,6 +292,7 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None):
         tensors[name] = ag.Tensor(stored[key], requires_grad=True, name=name)
         first_moment[name] = stored[f"adam.m.{name}"]
         second_moment[name] = stored[f"adam.v.{name}"]
+    config.require_same(stored_config)
     params = ModelParams(config, tensors)
 
     adam_meta = meta["adam"]

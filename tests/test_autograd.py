@@ -135,6 +135,82 @@ class TestTemporalConv:
         assert report.passed, report.summary()
 
 
+def per_tap_temporal_conv(x, kernel, bias, g):
+    """Oracle: the per-tap einsum formulation of the same-padded temporal
+    convolution. Returns the output and the gradients of sum(out * g) with
+    respect to x, kernel and bias."""
+    n, _, t = x.shape
+    c_out, _, k = kernel.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    out = np.zeros((n, c_out, t), dtype=x.dtype)
+    for j in range(k):
+        out += np.einsum("oi,nit->not", kernel[:, :, j], xp[:, :, j : j + t])
+    if bias is not None:
+        out = out + bias[None, :, None]
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for j in range(k):
+        gxp[:, :, j : j + t] += np.einsum("oi,not->nit", kernel[:, :, j], g)
+        gk[:, :, j] = np.einsum("not,nit->oi", g, xp[:, :, j : j + t])
+    gb = None if bias is None else g.sum(axis=(0, 2))
+    return out, gxp[:, :, pad : pad + t], gk, gb
+
+
+def max_relative_error(actual, expected):
+    """Largest absolute difference relative to the largest expected value."""
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+class TestTemporalConvMatchesPerTapOracle:
+    """The im2col lowering against the per-tap einsum path it replaced."""
+
+    @staticmethod
+    def run_both(shape, with_bias, dtype):
+        n, c_in, c_out, t, k = shape
+        rng = np.random.default_rng(sum(shape) + with_bias)
+        x = rng.normal(size=(n, c_in, t)).astype(dtype)
+        kernel = rng.normal(size=(c_out, c_in, k)).astype(dtype)
+        bias = rng.normal(size=c_out).astype(dtype) if with_bias else None
+        g = rng.normal(size=(n, c_out, t)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        kt = Tensor(kernel, requires_grad=True)
+        bt = Tensor(bias, requires_grad=True) if with_bias else None
+        out = ag.temporal_conv(xt, kt, bt)
+        ag.tsum(ag.mul(out, g)).backward()
+        actual = (out.data, xt.grad, kt.grad, bt.grad if with_bias else None)
+        return actual, per_tap_temporal_conv(x, kernel, bias, g)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("shape", [
+        (1, 2, 3, 1, 3),
+        (3, 2, 4, 7, 3),
+        (4, 64, 64, 6, 3),
+        (60, 64, 64, 6, 3),
+        (3, 2, 4, 7, 1),
+        (3, 2, 4, 7, 5),
+        (2, 3, 4, 2, 5),  # T < K: every window overlaps the padding
+    ])
+    def test_float64_within_1e12(self, shape, with_bias):
+        actual, expected = self.run_both(shape, with_bias, np.float64)
+        for name, a, e in zip(("out", "x.grad", "kernel.grad", "bias.grad"),
+                              actual, expected):
+            if e is None:
+                assert a is None
+                continue
+            assert a.shape == e.shape, name
+            assert max_relative_error(a, e) <= 1e-12, name
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_float32_stays_float32(self, with_bias):
+        actual, expected = self.run_both((4, 8, 6, 6, 3), with_bias, np.float32)
+        for a, e in zip(actual, expected):
+            if e is None:
+                continue
+            assert a.dtype == np.float32
+            assert max_relative_error(a, e) <= 1e-5
+
+
 class TestChannelMix:
     def test_identity_weights_stack_of_one(self):
         rng = np.random.default_rng(1)

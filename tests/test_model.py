@@ -473,3 +473,35 @@ class TestCheckpoint:
         save_params(params, path)
         with pytest.raises(FormatError, match="plan"):
             load_params(path, expected_config=tiny_config())
+
+    def test_shape_neutral_config_mismatch_names_field(self, tmp_path):
+        params = ModelParams.initialize(tiny_config(), seed=28)
+        path = tmp_path / "params.npz"
+        save_params(params, path)
+        with pytest.raises(FormatError, match="'d_d' is 10.0, expected 12.5"):
+            load_params(path, expected_config=tiny_config(d_d=12.5))
+        assert load_params(path, expected_config=tiny_config()).config == tiny_config()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        first = ModelParams.initialize(tiny_config(), seed=29)
+        path = tmp_path / "params.npz"
+        save_params(first, path)
+
+        def savez_then_fail(file, **arrays):
+            file.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(ModelParams.initialize(tiny_config(), seed=30), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["params.npz"]
+        loaded = load_params(path)
+        for name in first.names():
+            assert loaded[name].data.tobytes() == first[name].data.tobytes()
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        path = tmp_path / "params"
+        save_params(ModelParams.initialize(tiny_config(), seed=31), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["params"]
+        assert load_params(path).config == tiny_config()

@@ -4,6 +4,7 @@ smoke check that loss decreases on the synthetic set."""
 import numpy as np
 import pytest
 
+from epg_mgcn import autograd as ag
 from epg_mgcn.errors import DataError, FormatError, NumericError
 from epg_mgcn.model import ModelConfig
 from epg_mgcn.synthetic import make_synthetic_dataset
@@ -97,6 +98,28 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="epoch 0"):
             train(samples, small_model(), small_train(max_epochs=1))
 
+    def test_non_finite_gradient_names_first_parameter(self, monkeypatch):
+        samples = make_synthetic_dataset(3)
+        real_conv = ag.temporal_conv
+
+        def conv_with_poisoned_kernel_grad(x, kernel, bias=None):
+            out = real_conv(x, kernel, bias)
+            backward = out._backward
+
+            def poisoned(g):
+                backward(g)
+                kernel.grad[0, 0, 0] = np.nan
+
+            out._backward = poisoned
+            return out
+
+        monkeypatch.setattr(ag, "temporal_conv", conv_with_poisoned_kernel_grad)
+        model = small_model()
+        first_kernel = f"branch.{model.branch_order[0]}.block0.temporal.kernel"
+        with pytest.raises(NumericError, match=(
+                f"gradient for parameter '{first_kernel}' at epoch 0, batch 0")):
+            train(samples, model, small_train(max_epochs=1))
+
     def test_single_precision_smoke(self):
         samples = make_synthetic_dataset(3)
         result = train(samples, small_model(),
@@ -149,6 +172,39 @@ class TestCheckpointResume:
         wider = ModelConfig(channels=9, t_obs_points=6, t_pred=6)
         with pytest.raises(FormatError, match="embed.weight"):
             checkpoint_load(path, expected_config=wider)
+
+    def test_shape_neutral_config_mismatch_names_field(self, tmp_path):
+        samples = make_synthetic_dataset(2)
+        result = train(samples, small_model(), small_train(max_epochs=1))
+        path = tmp_path / "ckpt.npz"
+        checkpoint_save(path, result.params, result.optimizer, result.rng,
+                        1, result.record)
+        turned = ModelConfig(channels=6, t_obs_points=6, t_pred=6,
+                             beta_degrees=30.0)
+        with pytest.raises(FormatError, match="'beta_degrees' is 20.0, expected 30.0"):
+            checkpoint_load(path, expected_config=turned)
+        with pytest.raises(FormatError, match="beta_degrees"):
+            train(samples, turned, small_train(max_epochs=2), resume=path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        samples = make_synthetic_dataset(2)
+        result = train(samples, small_model(), small_train(max_epochs=2))
+        path = tmp_path / "ckpt.npz"
+        checkpoint_save(path, result.params, result.optimizer, result.rng,
+                        1, result.record)
+
+        def savez_then_fail(file, **arrays):
+            file.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint_save(path, result.params, result.optimizer, result.rng,
+                            2, result.record)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        _, _, _, epochs, _ = checkpoint_load(path)
+        assert epochs == 1
 
     def test_run_record_round_trip(self, tmp_path):
         record = RunRecord()
