@@ -477,10 +477,10 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
     for no gain in speed.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 3 or kernel.ndim != 3:
+    if x.ndim != 3 or kernel.ndim != 3 or x.shape[2] == 0:
         raise DimensionError(
-            f"temporal_conv expects x (N,C,T) and kernel (C_out,C_in,K), "
-            f"got {x.shape} and {kernel.shape}"
+            f"temporal_conv expects x (N,C,T) with T >= 1 and kernel "
+            f"(C_out,C_in,K), got {x.shape} and {kernel.shape}"
         )
     n, c_in, t = x.shape
     c_out, k_in, k = kernel.shape

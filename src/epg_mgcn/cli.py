@@ -10,18 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ablation import run_ablation
 from .errors import DataError, DimensionError, NumericError, UsageError
+from .graphs import GRAPH_NAMES
 from .metrics import evaluate
-from .model import ModelConfig, ModelParams, load_params, save_params
+from .model import ModelConfig, load_params, predict, save_params
 from .render import render_scene
 from .scene import (DatasetConfig, load_trajectory_table, read_canonical,
                     window_samples, write_canonical)
-from .training import TrainConfig, checkpoint_load, train
+from .training import TrainConfig, train
 from .whatif import what_if
 
 EXIT_USAGE = 2
@@ -29,64 +31,63 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
 
-GRAPH_CHOICES = ("distance", "visibility", "planning", "category")
+
+def _read_json(path):
+    """Parse a JSON input file; malformed JSON is a UsageError naming the
+    file and the position."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _load_any_params(path) -> ModelParams:
-    """Accept either a bare parameter checkpoint or a trainer checkpoint."""
-    with np.load(path, allow_pickle=False) as archive:
-        trainer_style = any(k.startswith("param.") for k in archive.files)
-    if trainer_style:
-        params, _, _, _, _ = checkpoint_load(path)
-        return params
-    return load_params(path)
+def _run_configs(args, samples):
+    """(ModelConfig, TrainConfig) from, in rising precedence, the samples'
+    shapes, the --config file's "model" and "train" sections, and flags."""
+    shapes = {"t_obs_points": samples[0].t_obs_points,
+              "t_pred": samples[0].t_pred}
+    if args.config is None:
+        model_config, train_config = ModelConfig.from_dict(shapes), TrainConfig()
+    else:
+        loaded = _read_json(args.config)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"run config {args.config}: expected a JSON object")
+        extra = sorted(set(loaded) - {"model", "train"})
+        if extra:
+            raise UsageError(f"run config {args.config}: unknown section {extra[0]!r}")
+        try:
+            model_config = ModelConfig.from_dict({**shapes, **loaded.get("model", {})})
+            train_config = TrainConfig.from_dict(loaded.get("train", {}))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"run config {args.config}: {exc}") from None
+    return (replace(model_config, **_flags(args, ModelConfig)),
+            replace(train_config, **_flags(args, TrainConfig)))
 
 
-def _model_config_from_args(args, overrides=None) -> ModelConfig:
-    cfg = dict(overrides or {})
-    if args.model_config:
-        with open(args.model_config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        cfg.update(loaded.get("model", loaded))
-    if getattr(args, "channels", None) is not None:
-        cfg["channels"] = args.channels
-    if getattr(args, "graphs", None):
-        cfg["enabled_graphs"] = tuple(args.graphs.split(","))
-    if getattr(args, "no_plan_fusion", False):
-        cfg["planning_fusion_enabled"] = False
-    if getattr(args, "shared_decoder", False):
-        cfg["category_specific_decoders"] = False
-    if getattr(args, "t_obs", None) is not None:
-        cfg["t_obs_points"] = args.t_obs
-    if getattr(args, "t_pred", None) is not None:
-        cfg["t_pred"] = args.t_pred
-    if getattr(args, "d_d", None) is not None:
-        cfg["d_d"] = args.d_d
-    if getattr(args, "beta", None) is not None:
-        cfg["beta_degrees"] = args.beta
-    return ModelConfig.from_dict(cfg)
+def _flags(args, config_cls) -> dict:
+    """The fields of ``config_cls`` that a command-line flag set."""
+    return {f.name: getattr(args, f.name) for f in fields(config_cls)
+            if getattr(args, f.name, None) is not None}
 
 
-def _train_config_from_args(args) -> TrainConfig:
-    cfg = {}
-    if args.model_config:
-        with open(args.model_config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        cfg.update(loaded.get("train", {}))
-    for key, attr in (("batch_size", "batch_size"), ("initial_lr", "lr"),
-                      ("decay_every_epochs", "decay_every"),
-                      ("lr_decay_factor", "decay_factor"),
-                      ("max_epochs", "epochs"), ("seed", "seed"),
-                      ("precision", "precision")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[key] = value
-    return TrainConfig(**cfg)
-
-
-def _infer_shape_config(samples):
-    first = samples[0]
-    return {"t_obs_points": first.t_obs_points, "t_pred": first.t_pred}
+def _read_plans(path) -> dict:
+    """The --plans file: a JSON object mapping plan names to [[x, y], ...]."""
+    loaded = _read_json(path)
+    if not isinstance(loaded, dict):
+        raise UsageError(f"plans file {path}: expected a JSON object "
+                         "mapping plan names to [[x, y], ...]")
+    plans = {}
+    for name, plan in loaded.items():
+        try:
+            plans[name] = np.asarray(plan, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"plans file {path}: plan '{name}' is not an "
+                             f"array of numbers: {exc}") from None
+        if not np.isfinite(plans[name]).all():
+            raise UsageError(f"plans file {path}: plan '{name}' has a "
+                             "missing or non-finite entry")
+    return plans
 
 
 def cmd_prepare(args) -> int:
@@ -111,8 +112,7 @@ def cmd_train(args) -> int:
     samples = read_canonical(args.data)
     if not samples:
         raise DataError(f"no samples in {args.data}")
-    model_config = _model_config_from_args(args, _infer_shape_config(samples))
-    train_config = _train_config_from_args(args)
+    model_config, train_config = _run_configs(args, samples)
     out_dir = Path(args.out_dir)
     result = train(samples, model_config, train_config, run_dir=out_dir,
                    checkpoint_every=args.checkpoint_every,
@@ -133,7 +133,7 @@ def cmd_eval(args) -> int:
     samples = read_canonical(args.data)
     if not samples:
         raise DataError(f"no samples in {args.data}")
-    params = _load_any_params(args.checkpoint)
+    params = load_params(args.checkpoint)
     report = evaluate(samples, params.config, params)
     print(report.format_table())
     if args.report:
@@ -148,8 +148,7 @@ def cmd_ablate(args) -> int:
     samples = read_canonical(args.data)
     if not samples:
         raise DataError(f"no samples in {args.data}")
-    base = _model_config_from_args(args, _infer_shape_config(samples))
-    train_config = _train_config_from_args(args)
+    base, train_config = _run_configs(args, samples)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = run_ablation(
@@ -172,11 +171,8 @@ def cmd_what_if(args) -> int:
         raise UsageError(f"sample index {args.index} out of range "
                          f"(file has {len(samples)})")
     sample = samples[args.index]
-    params = _load_any_params(args.checkpoint)
-    with open(args.plans, "r", encoding="utf-8") as fh:
-        plans = {name: np.asarray(plan, dtype=np.float64)
-                 for name, plan in json.load(fh).items()}
-    base, results = what_if(sample, plans, params, params.config)
+    params = load_params(args.checkpoint)
+    base, results = what_if(sample, _read_plans(args.plans), params, params.config)
     print(f"what-if on sample {args.index}: base plan plus {len(results)} alternatives")
     for res in results:
         print(f"  {res.name}: max coord diff {res.max_coordinate_diff:.6f} m, "
@@ -212,9 +208,7 @@ def cmd_render(args) -> int:
     sample = samples[args.index]
     predictions = None
     if args.checkpoint:
-        from .model import predict
-
-        params = _load_any_params(args.checkpoint)
+        params = load_params(args.checkpoint)
         predictions = predict(sample, params.config, params)
     render_scene(sample, predictions, args.output)
     print(f"render: wrote {args.output}")
@@ -245,19 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model on canonical samples")
-    _add_model_args(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--decay-every", type=int, default=None, dest="decay_every")
-    p.add_argument("--decay-factor", type=float, default=None, dest="decay_factor")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", choices=("double", "single"), default=None)
+    _add_run_args(p)
     p.add_argument("--checkpoint-every", type=int, default=None,
                    dest="checkpoint_every")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on canonical samples")
@@ -267,17 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the six-row ablation ladder")
-    _add_model_args(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--decay-every", type=int, default=None, dest="decay_every")
-    p.add_argument("--decay-factor", type=float, default=None, dest="decay_factor")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", choices=("double", "single"), default=None)
-    p.add_argument("--quiet", action="store_true")
+    _add_run_args(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("what-if", help="predict under alternative ego plans")
@@ -298,18 +272,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_model_args(p):
-    p.add_argument("--config", default=None, dest="model_config",
+def _add_run_args(p):
+    """Flags shared by train and ablate. Each model or schedule flag's dest
+    is the ModelConfig or TrainConfig field it overrides."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--config", default=None,
                    help="JSON run config with 'model' and 'train' sections")
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--graphs", default=None,
-                   help="comma-separated subset of " + ",".join(GRAPH_CHOICES))
-    p.add_argument("--no-plan-fusion", action="store_true", dest="no_plan_fusion")
-    p.add_argument("--shared-decoder", action="store_true", dest="shared_decoder")
-    p.add_argument("--t-obs", type=int, default=None, dest="t_obs")
-    p.add_argument("--t-pred", type=int, default=None, dest="t_pred")
-    p.add_argument("--d-d", type=float, default=None, dest="d_d")
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--channels", type=int)
+    p.add_argument("--graphs", type=lambda text: text.split(","),
+                   dest="enabled_graphs",
+                   help="comma-separated subset of " + ",".join(GRAPH_NAMES))
+    p.add_argument("--no-plan-fusion", action="store_false", default=None,
+                   dest="planning_fusion_enabled")
+    p.add_argument("--shared-decoder", action="store_false", default=None,
+                   dest="category_specific_decoders")
+    p.add_argument("--t-obs", type=int, dest="t_obs_points")
+    p.add_argument("--t-pred", type=int, dest="t_pred")
+    p.add_argument("--d-d", type=float, dest="d_d")
+    p.add_argument("--beta", type=float, dest="beta_degrees")
+    p.add_argument("--epochs", type=int, dest="max_epochs")
+    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float, dest="initial_lr")
+    p.add_argument("--decay-every", type=int, dest="decay_every_epochs")
+    p.add_argument("--decay-factor", type=float, dest="lr_decay_factor")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--precision", choices=("double", "single"))
+    p.add_argument("--quiet", action="store_true")
 
 
 def main(argv=None) -> int:

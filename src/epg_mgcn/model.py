@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -47,7 +48,7 @@ __all__ = [
 
 _GATES = ("z", "r", "h")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -92,23 +93,15 @@ class ModelConfig:
         return ("shared",)
 
     def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "blocks_per_branch": self.blocks_per_branch,
-            "t_obs_points": self.t_obs_points,
-            "t_pred": self.t_pred,
-            "categories_decoded": list(self.categories_decoded),
-            "enabled_graphs": list(self.enabled_graphs),
-            "planning_fusion_enabled": self.planning_fusion_enabled,
-            "category_specific_decoders": self.category_specific_decoders,
-            "d_d": self.d_d,
-            "beta_degrees": self.beta_degrees,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        """Inverse of :meth:`to_dict`; an unknown key is a UsageError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise UsageError(f"unknown model config field {unknown[0]!r}")
+        return cls(**d)
 
     def require_same(self, stored: "ModelConfig") -> None:
         """Raise FormatError naming the first field in which the ``stored``
@@ -395,12 +388,11 @@ def forward(sample: Sample, config: ModelConfig, params: ModelParams,
     return cs_gru_decode(f_fusion, sample, params, config)
 
 
-def predict(sample: Sample, config: ModelConfig, params: ModelParams,
-            adjacency: AdjacencySet | None = None) -> np.ndarray:
+def predict(sample: Sample, config: ModelConfig, params: ModelParams) -> np.ndarray:
     """Ego-center, run the network, and return predictions as a plain array
     in the sample's original frame."""
     centered = ego_center(sample)
-    out = forward(centered, config, params, adjacency)
+    out = forward(centered, config, params)
     return out.data + centered.origin
 
 
@@ -422,19 +414,82 @@ def prediction_loss(predictions: Tensor, sample: Sample,
 
 
 # ---------------------------------------------------------------------------
-# parameter checkpoint (flat, versioned container)
+# checkpoint archive: parameters, optionally with trainer state
 # ---------------------------------------------------------------------------
 
 
-def save_params(params: ModelParams, path) -> None:
-    """Write parameters as a numpy archive: one array per dotted name plus a
-    JSON metadata entry with the format version and model configuration."""
-    meta = json.dumps({
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "model_config": params.config.to_dict(),
-    })
-    arrays = {name: t.data for name, t in params.items()}
-    savez_atomic(path, __meta__=np.array(meta), **arrays)
+@dataclass
+class Checkpoint:
+    """One checkpoint archive. ``trainer`` (the JSON state that
+    ``training.checkpoint_save`` records) and ``moments`` (Adam's first and
+    second moments by parameter name) are None in a parameters-only file."""
+
+    params: ModelParams
+    trainer: dict | None = None
+    moments: tuple | None = None
+
+
+def write_checkpoint(path, checkpoint: Checkpoint) -> None:
+    """Write ``param.<name>`` arrays, ``adam.m.<name>`` and ``adam.v.<name>``
+    moments if any, and a JSON ``__meta__`` entry holding the format
+    version, the model configuration and the trainer state."""
+    meta = {"checkpoint_version": CHECKPOINT_VERSION,
+            "model_config": checkpoint.params.config.to_dict(),
+            "trainer": checkpoint.trainer}
+    arrays = {f"param.{name}": t.data for name, t in checkpoint.params.items()}
+    if checkpoint.moments is not None:
+        first, second = checkpoint.moments
+        arrays.update({f"adam.m.{name}": m for name, m in first.items()})
+        arrays.update({f"adam.v.{name}": v for name, v in second.items()})
+    savez_atomic(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
+def read_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
+    """Read an archive written by :func:`write_checkpoint`, validating names
+    and shapes against the configuration recorded in the file (or
+    ``expected_config`` if given, which must then equal the recorded one in
+    every field). A file that is not such an archive fails as FormatError."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            stored = {k: archive[k] for k in archive.files}
+    # TypeError: a bare .npy file loads as an array, which has no ``with``
+    except (zipfile.BadZipFile, EOFError, ValueError, TypeError) as exc:
+        raise FormatError(f"{path} is not an npz archive: {exc}") from None
+    try:
+        meta = json.loads(str(stored.pop("__meta__")))
+        version = meta["checkpoint_version"]
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(f"{path} is not a checkpoint: missing or "
+                          "unreadable metadata") from None
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version!r} "
+                          f"(this version reads {CHECKPOINT_VERSION})")
+    try:
+        stored_config = ModelConfig.from_dict(meta["model_config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad stored model config: {exc}") from None
+    config = expected_config if expected_config is not None else stored_config
+    trainer = meta.get("trainer")
+
+    tensors, first, second = {}, {}, {}
+    for name, shape, _ in param_specs(config):
+        data = stored.pop(f"param.{name}", None)
+        if data is None:
+            raise FormatError(f"parameter '{name}' missing from checkpoint")
+        if data.shape != shape:
+            raise FormatError(
+                f"parameter '{name}' has shape {data.shape}, expected {shape}")
+        tensors[name] = Tensor(data, requires_grad=True, name=name)
+        if trainer is not None:
+            first[name] = stored.pop(f"adam.m.{name}", None)
+            second[name] = stored.pop(f"adam.v.{name}", None)
+            if first[name] is None or second[name] is None:
+                raise FormatError(f"optimizer state for '{name}' missing from checkpoint")
+    if stored:
+        raise FormatError(f"unexpected entry '{sorted(stored)[0]}' in checkpoint")
+    config.require_same(stored_config)
+    return Checkpoint(ModelParams(config, tensors), trainer,
+                      None if trainer is None else (first, second))
 
 
 def savez_atomic(path, **arrays) -> None:
@@ -454,34 +509,14 @@ def savez_atomic(path, **arrays) -> None:
         raise
 
 
+def save_params(params: ModelParams, path) -> None:
+    """Write a parameters-only checkpoint atomically."""
+    write_checkpoint(path, Checkpoint(params))
+
+
 def load_params(path, expected_config: ModelConfig | None = None) -> ModelParams:
-    """Load a parameter checkpoint, validating names and shapes against the
-    configuration recorded in the file (or ``expected_config`` if given).
-    An ``expected_config`` must equal the recorded one in every field."""
-    with np.load(path, allow_pickle=False) as archive:
-        if "__meta__" not in archive:
-            raise FormatError("not a parameter checkpoint: missing metadata")
-        meta = json.loads(str(archive["__meta__"]))
-        if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise FormatError(
-                f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
-            )
-        stored_config = ModelConfig.from_dict(meta["model_config"])
-        config = expected_config if expected_config is not None else stored_config
-        stored = {k: archive[k] for k in archive.files if k != "__meta__"}
-    tensors = {}
-    for name, shape, _ in param_specs(config):
-        if name not in stored:
-            raise FormatError(f"parameter '{name}' missing from checkpoint")
-        if stored[name].shape != shape:
-            raise FormatError(
-                f"parameter '{name}' has shape {stored[name].shape}, "
-                f"expected {shape}"
-            )
-        tensors[name] = Tensor(stored[name], requires_grad=True, name=name)
-        del stored[name]
-    if stored:
-        extra = sorted(stored)[0]
-        raise FormatError(f"unexpected parameter '{extra}' in checkpoint")
-    config.require_same(stored_config)
-    return ModelParams(config, tensors)
+    """Load the parameters of any checkpoint, with or without trainer state,
+    validating names and shapes against the configuration recorded in the
+    file (or ``expected_config`` if given, which must equal the recorded one
+    in every field)."""
+    return read_checkpoint(path, expected_config).params

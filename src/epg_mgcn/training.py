@@ -13,21 +13,22 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
-from .errors import DataError, FormatError, NumericError
+from .errors import DataError, FormatError, NumericError, UsageError
 from .graphs import build_adjacency
 from .model import (
+    Checkpoint,
     ModelConfig,
     ModelParams,
     forward,
-    param_specs,
     prediction_loss,
-    savez_atomic,
+    read_checkpoint,
+    write_checkpoint,
 )
 from .optim import Adam
 from .scene import Sample, ego_center, validate_sample
@@ -44,8 +45,6 @@ __all__ = [
     "write_run_record",
     "read_run_record",
 ]
-
-TRAINER_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -82,19 +81,24 @@ class TrainConfig:
         return np.float64 if self.precision == "double" else np.float32
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "initial_lr": self.initial_lr,
-            "lr_decay_factor": self.lr_decay_factor,
-            "decay_every_epochs": self.decay_every_epochs,
-            "max_epochs": self.max_epochs,
-            "seed": self.seed,
-            "precision": self.precision,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of :meth:`to_dict`; an unknown key is a UsageError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise UsageError(f"unknown train config field {unknown[0]!r}")
         return cls(**d)
+
+    def require_resumable(self, stored: dict) -> None:
+        """Raise FormatError naming the first field in which the ``stored``
+        (checkpoint) train config differs from this one. ``max_epochs`` may
+        differ: extending a run is what resuming is for."""
+        for key, mine in self.to_dict().items():
+            if key != "max_epochs" and stored.get(key) != mine:
+                raise FormatError(f"checkpoint train config field '{key}' is "
+                                  f"{stored.get(key)!r}, expected {mine!r}")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -152,8 +156,10 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
     """Run the training loop; returns final parameters and the loss trace.
 
     ``resume`` continues from a trainer checkpoint (bitwise identical to the
-    uninterrupted run). With ``run_dir`` set, a checkpoint and the run record
-    land there at the end (and every ``checkpoint_every`` epochs).
+    uninterrupted run); a train config recorded there must equal
+    ``train_config`` in every field but ``max_epochs``. With ``run_dir`` set,
+    a checkpoint and the run record land there at the end (and every
+    ``checkpoint_every`` epochs).
     """
     if not samples:
         raise DataError("training dataset is empty")
@@ -161,8 +167,10 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         validate_sample(s)
 
     if resume is not None:
-        params, optimizer, rng, start_epoch, record = checkpoint_load(
-            resume, expected_config=model_config)
+        checkpoint = read_checkpoint(resume, expected_config=model_config)
+        params, optimizer, rng, start_epoch, record = _restore(checkpoint, resume)
+        if checkpoint.trainer.get("train_config") is not None:
+            train_config.require_resumable(checkpoint.trainer["train_config"])
     else:
         rng = np.random.default_rng(train_config.seed)
         params = ModelParams.initialize(
@@ -220,11 +228,11 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         if (run_dir is not None and checkpoint_every
                 and (epoch + 1) % checkpoint_every == 0):
             checkpoint_save(run_dir / "checkpoint.npz", params, optimizer,
-                            rng, epoch + 1, record)
+                            rng, epoch + 1, record, train_config)
 
     if run_dir is not None:
         checkpoint_save(run_dir / "checkpoint.npz", params, optimizer,
-                        rng, train_config.max_epochs, record)
+                        rng, train_config.max_epochs, record, train_config)
         write_run_record(record, run_dir / "run_record.jsonl")
     return TrainResult(params, record, optimizer, rng)
 
@@ -236,72 +244,48 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
 
 def checkpoint_save(path, params: ModelParams, optimizer: Adam,
                     rng: np.random.Generator, epoch_count: int,
-                    record: RunRecord) -> None:
-    meta = json.dumps({
-        "checkpoint_version": TRAINER_CHECKPOINT_VERSION,
-        "model_config": params.config.to_dict(),
+                    record: RunRecord,
+                    train_config: TrainConfig | None = None) -> None:
+    """Write parameters with the optimizer state, the shuffle stream, the
+    loss trace and, when given, the train config a resume must match."""
+    state = optimizer.state
+    trainer = {
         "epoch_count": epoch_count,
         "rng_state": rng.bit_generator.state,
         "adam": {
-            "step_count": optimizer.state.step_count,
-            "beta1": optimizer.state.beta1,
-            "beta2": optimizer.state.beta2,
-            "epsilon": optimizer.state.epsilon,
-            "learning_rate": optimizer.state.learning_rate,
+            "step_count": state.step_count,
+            "beta1": state.beta1,
+            "beta2": state.beta2,
+            "epsilon": state.epsilon,
+            "learning_rate": state.learning_rate,
         },
         "records": [
             [e.epoch, e.mean_loss, e.learning_rate, e.seconds]
             for e in record.epochs
         ],
-    })
-    arrays = {}
-    for name, t in params.items():
-        arrays[f"param.{name}"] = t.data
-        arrays[f"adam.m.{name}"] = optimizer.state.first_moment[name]
-        arrays[f"adam.v.{name}"] = optimizer.state.second_moment[name]
-    savez_atomic(path, __meta__=np.array(meta), **arrays)
+        "train_config": None if train_config is None else train_config.to_dict(),
+    }
+    write_checkpoint(path, Checkpoint(
+        params, trainer, (state.first_moment, state.second_moment)))
 
 
 def checkpoint_load(path, expected_config: ModelConfig | None = None):
     """Returns (params, optimizer, rng, epoch_count, record). An
     ``expected_config`` must equal the stored one in every field."""
-    with np.load(path, allow_pickle=False) as archive:
-        if "__meta__" not in archive:
-            raise FormatError("not a trainer checkpoint: missing metadata")
-        meta = json.loads(str(archive["__meta__"]))
-        if meta.get("checkpoint_version") != TRAINER_CHECKPOINT_VERSION:
-            raise FormatError(
-                f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
-            )
-        stored_config = ModelConfig.from_dict(meta["model_config"])
-        config = expected_config if expected_config is not None else stored_config
-        stored = {k: archive[k] for k in archive.files if k != "__meta__"}
+    return _restore(read_checkpoint(path, expected_config), path)
 
-    tensors = {}
-    first_moment, second_moment = {}, {}
-    for name, shape, _ in param_specs(config):
-        key = f"param.{name}"
-        if key not in stored:
-            raise FormatError(f"parameter '{name}' missing from checkpoint")
-        if stored[key].shape != shape:
-            raise FormatError(
-                f"parameter '{name}' has shape {stored[key].shape}, expected {shape}"
-            )
-        if f"adam.m.{name}" not in stored or f"adam.v.{name}" not in stored:
-            raise FormatError(f"optimizer state for '{name}' missing from checkpoint")
-        tensors[name] = ag.Tensor(stored[key], requires_grad=True, name=name)
-        first_moment[name] = stored[f"adam.m.{name}"]
-        second_moment[name] = stored[f"adam.v.{name}"]
-    config.require_same(stored_config)
-    params = ModelParams(config, tensors)
 
+def _restore(checkpoint: Checkpoint, path):
+    if checkpoint.trainer is None:
+        raise FormatError(f"{path} is not a trainer checkpoint: no optimizer state")
+    meta = checkpoint.trainer
+    params = checkpoint.params
     adam_meta = meta["adam"]
     optimizer = Adam(params.tensors, learning_rate=adam_meta["learning_rate"],
                      beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
                      epsilon=adam_meta["epsilon"])
     optimizer.state.step_count = int(adam_meta["step_count"])
-    optimizer.state.first_moment = first_moment
-    optimizer.state.second_moment = second_moment
+    optimizer.state.first_moment, optimizer.state.second_moment = checkpoint.moments
 
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]

@@ -3,7 +3,7 @@ report how the predicted futures diverge from the recorded-plan baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,25 +12,7 @@ from .graphs import AdjacencySet, build_adjacency, build_planning_graph
 from .model import ModelConfig, ModelParams, forward
 from .scene import Sample, ego_center
 
-__all__ = ["WhatIfScenario", "WhatIfResult", "what_if"]
-
-
-@dataclass
-class WhatIfScenario:
-    """A base sample plus named alternative ego plans (each t_pred x 2)."""
-
-    sample: Sample
-    plans: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        horizon = self.sample.t_pred
-        for name, plan in self.plans.items():
-            plan = np.asarray(plan, dtype=np.float64)
-            if plan.shape != (horizon, 2):
-                raise UsageError(
-                    f"plan '{name}' has shape {plan.shape}, expected ({horizon}, 2)"
-                )
-            self.plans[name] = plan
+__all__ = ["WhatIfResult", "what_if"]
 
 
 @dataclass
@@ -46,11 +28,17 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
             config: ModelConfig):
     """Run the base plan and every named alternative.
 
-    Only the planning graph depends on the plan, so the other three graphs
-    are built once. Returns (base result, [alternative results]); divergence
-    is per-agent Frobenius distance between predicted trajectories.
+    Each plan is (t_pred, 2) in the sample's original frame. Only the
+    planning graph depends on the plan, so the other three graphs are built
+    once. Returns (base result, [alternative results]); divergence is
+    per-agent Frobenius distance between predicted trajectories.
     """
-    scenario = WhatIfScenario(sample, dict(alternative_plans))
+    plans = {name: np.asarray(plan, dtype=np.float64)
+             for name, plan in alternative_plans.items()}
+    for name, plan in plans.items():
+        if plan.shape != (sample.t_pred, 2):
+            raise UsageError(f"plan '{name}' has shape {plan.shape}, "
+                             f"expected ({sample.t_pred}, 2)")
     centered = ego_center(sample)
     adjacency = build_adjacency(centered, config.d_d, config.beta_degrees)
 
@@ -81,6 +69,6 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
 
     base = run(centered.ego_plan, "base")
     results = []
-    for name, plan in scenario.plans.items():
+    for name, plan in plans.items():
         results.append(run(plan - centered.origin, name, base.predictions))
     return base, results

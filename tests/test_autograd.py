@@ -121,6 +121,10 @@ class TestTemporalConv:
         with pytest.raises(DimensionError, match="channel"):
             ag.temporal_conv(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((3, 5, 3))))
 
+    def test_empty_time_axis_names_shape(self):
+        with pytest.raises(DimensionError, match=r"T >= 1.*\(2, 3, 0\)"):
+            ag.temporal_conv(Tensor(np.zeros((2, 3, 0))), Tensor(np.zeros((4, 3, 3))))
+
     def test_gradients(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)

@@ -180,3 +180,65 @@ class TestErrors:
         bad.write_text('{"version": 42}\n')
         code = main(["eval", "--data", str(bad), "--checkpoint", "x.npz"])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(samples file, trainer checkpoint) from one short run."""
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "samples.jsonl"
+    write_canonical(make_synthetic_dataset(4), data)
+    assert main(["train", "--data", str(data), "--out-dir", str(root / "run"),
+                 "--channels", "4", "--epochs", "1", "--quiet"]) == 0
+    return data, root / "run" / "checkpoint.npz"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("damage", ["text", "truncated"])
+    def test_eval_on_non_archive_is_format_error(self, tmp_path, trained,
+                                                 capsys, damage):
+        data, checkpoint = trained
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"not an archive" if damage == "text"
+                        else checkpoint.read_bytes()[:200])
+        code = main(["eval", "--data", str(data), "--checkpoint", str(bad)])
+        assert code == 3
+        assert f"{bad} is not an npz archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"model": {"chanels": 4}}', "unknown model config field 'chanels'"),
+        ('{"train": {"max_epoch": 1}}', "unknown train config field 'max_epoch'"),
+        ('{"modle": {}}', "unknown section 'modle'"),
+        ('{"model": {"channels": 4},\n', "invalid JSON: Expecting property name"
+                                         " enclosed in double quotes: line 2 column 1"),
+    ])
+    def test_bad_run_config_is_usage_error(self, tmp_path, samples_file,
+                                           capsys, text, named):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        code = main(["train", "--data", str(samples_file), "--config",
+                     str(cfg_path), "--out-dir", str(tmp_path / "run"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and named in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"swerve": [[0, 0]', "invalid JSON"),
+        ("[[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]", "expected a JSON object"),
+        ('{"swerve": [[0, 0], [1, 0], [2], [3, 0], [4, 0], [5, 0]]}', "plan 'swerve'"),
+        ('{"swerve": [[0, 0], [1, 0], ["far", 0], [3, 0], [4, 0], [5, 0]]}',
+         "plan 'swerve'"),
+        ('{"swerve": [[0, 0], [1, 0], [null, 0], [3, 0], [4, 0], [5, 0]]}',
+         "plan 'swerve'"),
+    ])
+    def test_bad_plans_file_is_usage_error(self, tmp_path, trained, capsys,
+                                           text, named):
+        data, checkpoint = trained
+        plans = tmp_path / "plans.json"
+        plans.write_text(text)
+        code = main(["what-if", "--data", str(data), "--checkpoint",
+                     str(checkpoint), "--plans", str(plans)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(plans) in err and named in err

@@ -2,6 +2,9 @@
 properties (permutation equivariance, plan sensitivity, decoder isolation,
 ablation parameter sets), and the parameter checkpoint."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -505,3 +508,54 @@ class TestCheckpoint:
         save_params(ModelParams.initialize(tiny_config(), seed=31), path)
         assert [p.name for p in tmp_path.iterdir()] == ["params"]
         assert load_params(path).config == tiny_config()
+
+    @pytest.mark.parametrize("content", [
+        b"hello, not an archive\n",
+        b"",
+        "npy",
+        "truncated",
+    ])
+    def test_non_archive_fails_naming_path(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.arange(3.0))
+        elif content == "truncated":
+            save_params(ModelParams.initialize(tiny_config(), seed=32), path)
+            path.write_bytes(path.read_bytes()[:-40])
+        else:
+            path.write_bytes(content)
+        with pytest.raises(FormatError, match=re.escape(f"{path} is not an npz archive")):
+            load_params(path)
+
+    def test_version_one_file_rejected_naming_version(self, tmp_path):
+        params = ModelParams.initialize(tiny_config(), seed=33)
+        path = tmp_path / "old.npz"
+        meta = json.dumps({"checkpoint_version": 1,
+                           "model_config": tiny_config().to_dict()})
+        np.savez(path, __meta__=np.array(meta),
+                 **{name: t.data for name, t in params.items()})
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1 "):
+            load_params(path)
+
+    def test_unknown_stored_config_field_rejected(self, tmp_path):
+        params = ModelParams.initialize(tiny_config(), seed=34)
+        path = tmp_path / "params.npz"
+        save_params(params, path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays.pop("__meta__")))
+        meta["model_config"]["chanels"] = 4
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(FormatError, match="unknown model config field 'chanels'"):
+            load_params(path)
+
+    def test_unexpected_entry_rejected(self, tmp_path):
+        params = ModelParams.initialize(tiny_config(), seed=35)
+        path = tmp_path / "params.npz"
+        save_params(params, path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        np.savez(path, **arrays, **{"param.stray": np.zeros(2)})
+        with pytest.raises(FormatError, match="unexpected entry 'param.stray'"):
+            load_params(path)

@@ -6,7 +6,7 @@ import pytest
 
 from epg_mgcn import autograd as ag
 from epg_mgcn.errors import DataError, FormatError, NumericError
-from epg_mgcn.model import ModelConfig
+from epg_mgcn.model import ModelConfig, ModelParams, load_params, save_params
 from epg_mgcn.synthetic import make_synthetic_dataset
 from epg_mgcn.training import (
     EpochRecord,
@@ -215,6 +215,42 @@ class TestCheckpointResume:
         back = read_run_record(path)
         assert back.losses() == record.losses()
         assert back.epochs[1].learning_rate == 0.001
+
+    def test_load_params_reads_trainer_checkpoint_bitwise(self, tmp_path):
+        samples = make_synthetic_dataset(2)
+        train(samples, small_model(), small_train(max_epochs=1), run_dir=tmp_path)
+        params, _, _, _, _ = checkpoint_load(tmp_path / "checkpoint.npz")
+        loaded = load_params(tmp_path / "checkpoint.npz")
+        assert loaded.names() == params.names()
+        for name in params.names():
+            assert loaded[name].data.tobytes() == params[name].data.tobytes()
+
+    def test_params_only_file_is_not_a_trainer_checkpoint(self, tmp_path):
+        path = tmp_path / "params.npz"
+        save_params(ModelParams.initialize(small_model(), seed=1), path)
+        with pytest.raises(FormatError, match="not a trainer checkpoint"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 4), ("initial_lr", 0.002), ("lr_decay_factor", 0.5),
+        ("decay_every_epochs", 3), ("seed", 6), ("precision", "single"),
+    ])
+    def test_resume_under_other_train_config_names_field(self, tmp_path,
+                                                         field, value):
+        samples = make_synthetic_dataset(2)
+        train(samples, small_model(), small_train(max_epochs=1), run_dir=tmp_path)
+        changed = small_train(max_epochs=2, **{field: value})
+        with pytest.raises(FormatError, match=f"train config field '{field}'"):
+            train(samples, small_model(), changed,
+                  resume=tmp_path / "checkpoint.npz")
+
+    def test_resume_may_extend_max_epochs(self, tmp_path):
+        samples = make_synthetic_dataset(2)
+        full = train(samples, small_model(), small_train(max_epochs=3))
+        train(samples, small_model(), small_train(max_epochs=2), run_dir=tmp_path)
+        resumed = train(samples, small_model(), small_train(max_epochs=3),
+                        resume=tmp_path / "checkpoint.npz")
+        assert resumed.record.losses() == full.record.losses()
 
     def test_records_must_be_contiguous(self):
         record = RunRecord()
