@@ -2,17 +2,20 @@
 
 Provides exactly the primitives the prediction network needs: elementwise
 arithmetic, matrix products, same-padded temporal convolution, per-position
-channel mixing (1x1 convolution), the usual activations, and a GRU cell built
-by composition. Tensors wrap contiguous numpy arrays; every operation is
-deterministic and the backward pass visits nodes in reverse topological
-order, so identical inputs give bitwise-identical outputs and gradients.
+channel mixing (1x1 convolution), the usual activations, and a GRU cell.
+Tensors wrap contiguous numpy arrays; every operation is deterministic and
+the backward pass visits nodes in reverse topological order, so identical
+inputs give bitwise-identical outputs and gradients.
 
-No hardware acceleration and no fusion across operations: each primitive
-is one graph node, which keeps the finite-difference verifier
-(``gradcheck``) trustworthy. Inside a primitive, the hot paths are lowered
-to BLAS matrix products (``temporal_conv`` via im2col, ``channel_mix`` via
-``tensordot``), because per-tap or per-element numpy loops dominate the
-run time at the model's sizes.
+No hardware acceleration: each primitive is one graph node with its own
+backward, checked against finite differences (``gradcheck``) and against a
+composed or loop oracle in the tests. Inside a primitive, the hot paths are
+lowered to BLAS matrix products (``temporal_conv`` via im2col,
+``channel_mix`` via ``tensordot``, ``gru_cell`` via one product for the
+three input projections and one for the two gate projections of the hidden
+state), because per-tap, per-element or per-gate graph nodes dominate the
+run time at the model's sizes. ``gru_cell`` is one node with a hand-written
+backward; its gate convention is the one in its docstring.
 """
 
 from __future__ import annotations
@@ -91,9 +94,14 @@ class Tensor:
         """Reset the gradient buffer to zeros (allocating it if absent)."""
         self.grad = np.zeros_like(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient buffer, allocated as zeros on first use."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
+        return self.grad
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        self._grad_buffer()
         self.grad += g
 
     def backward(self) -> None:
@@ -380,16 +388,33 @@ def broadcast_to(a, shape) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _is_basic_key(key) -> bool:
+    """True when ``key`` indexes by integers, slices, ``None`` and ``...``
+    only, so each element of ``a[key]`` is a distinct element of ``a``."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, slice)
+        or isinstance(k, (int, np.integer))
+        for k in parts
+    )
+
+
 def _getitem(a: Tensor, key) -> Tensor:
     out_data = a.data[key]
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data)
+    basic = _is_basic_key(key)
 
+    # Add into the slice of the parent's gradient instead of scattering into
+    # a zero buffer of the parent's size: a scan that reads every frame of a
+    # (B, C, T) input would otherwise move O(T^2) memory in backward.
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[key] = g
-            a._accumulate(buf)
+        if not a.requires_grad:
+            return
+        if basic:
+            a._grad_buffer()[key] += g
+        else:  # index arrays may repeat an element, which must accumulate
+            np.add.at(a._grad_buffer(), key, g)
 
     return _make(out_data, (a,), backward)
 
@@ -438,9 +463,7 @@ def gather_rows(a, indices) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            a._accumulate(buf)
+            np.add.at(a._grad_buffer(), idx, g)
 
     return _make(out_data, (a,), backward)
 
@@ -592,6 +615,12 @@ class GRUParams:
     FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 
+def _outer(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``a^T d`` for batched rows (B, m), (B, n); the outer product for
+    vectors (m,), (n,). Either way the (m, n) weight gradient."""
+    return a.T @ d if a.ndim == 2 else np.outer(a, d)
+
+
 def gru_cell(x, h, params: GRUParams) -> Tensor:
     """One GRU step with the fixed gate convention
 
@@ -601,14 +630,63 @@ def gru_cell(x, h, params: GRUParams) -> Tensor:
         h' = (1 - z) * h + z * n
 
     ``x`` is (C_in,) or (B, C_in); ``h`` matches with (C_h,) or (B, C_h).
+
+    One graph node with a hand-written backward; its parents are ``x``,
+    ``h`` and the nine parameters in ``GRUParams.FIELDS`` order. The three
+    input projections are one product with ``[w_z|w_r|w_h]`` and the two
+    gate projections of ``h`` one product with ``[u_z|u_r]``. The backward
+    closure keeps only the (B, C_h) activations: the concatenated weights
+    are rebuilt when backward runs, because holding a copy per step until
+    then raises peak memory in training.
     """
     x, h = as_tensor(x), as_tensor(h)
     if x.ndim != h.ndim or (x.ndim == 2 and x.shape[0] != h.shape[0]):
         raise DimensionError(
             f"gru_cell: input and hidden batch shapes disagree: {x.shape} vs {h.shape}"
         )
-    z = sigmoid(add(add(matmul(x, params.w_z), matmul(h, params.u_z)), params.b_z))
-    r = sigmoid(add(add(matmul(x, params.w_r), matmul(h, params.u_r)), params.b_r))
-    n = tanh(add(add(matmul(x, params.w_h), matmul(mul(r, h), params.u_h)), params.b_h))
-    one_minus_z = sub(1.0, z)
-    return add(mul(one_minus_z, h), mul(z, n))
+    weights = [getattr(params, f) for f in GRUParams.FIELDS]
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = weights
+    if x.ndim not in (1, 2) or x.shape[-1] != w_z.shape[0] or h.shape[-1] != u_z.shape[0]:
+        raise DimensionError(
+            f"gru_cell: input {x.shape} and hidden {h.shape} do not fit "
+            f"w_z {w_z.shape} and u_z {u_z.shape}"
+        )
+
+    def w_in():  # [w_z|w_r|w_h], (C_in, 3C)
+        return np.concatenate([w_z.data, w_r.data, w_h.data], axis=1)
+
+    def u_zr():  # [u_z|u_r], (C, 2C)
+        return np.concatenate([u_z.data, u_r.data], axis=1)
+
+    c = h.shape[-1]
+    xd, hd = x.data, h.data
+    xw = xd @ w_in()
+    hu = hd @ u_zr()
+    z = 1.0 / (1.0 + np.exp(-(xw[..., :c] + hu[..., :c] + b_z.data)))
+    r = 1.0 / (1.0 + np.exp(-(xw[..., c : 2 * c] + hu[..., c:] + b_r.data)))
+    rh = r * hd
+    n = np.tanh(xw[..., 2 * c :] + rh @ u_h.data + b_h.data)
+    out_data = (1.0 - z) * hd + z * n
+
+    def backward(g):
+        dn = g * z * (1.0 - n * n)  # at the tanh input
+        drh = dn @ u_h.data.T
+        dr = drh * hd * r * (1.0 - r)  # at the sigmoid inputs
+        dz = g * (n - hd) * z * (1.0 - z)
+        d_in = np.concatenate([dz, dr, dn], axis=-1)  # (..., 3C)
+        d_zr = d_in[..., : 2 * c]
+        dw = _outer(xd, d_in)
+        du = _outer(hd, d_zr)
+        db = d_in.sum(axis=0) if d_in.ndim == 2 else d_in
+        for t, gt in [(w_z, dw[:, :c]), (w_r, dw[:, c : 2 * c]), (w_h, dw[:, 2 * c :]),
+                      (u_z, du[:, :c]), (u_r, du[:, c:]), (u_h, _outer(rh, dn)),
+                      (b_z, db[:c]), (b_r, db[c : 2 * c]), (b_h, db[2 * c :])]:
+            if t.requires_grad:
+                t._accumulate(gt)
+        if x.requires_grad:
+            x._accumulate(d_in @ w_in().T)
+        if h.requires_grad:
+            dh = g * (1.0 - z) + drh * r
+            h._accumulate(dh + d_zr @ u_zr().T)
+
+    return _make(out_data, [x, h] + weights, backward)

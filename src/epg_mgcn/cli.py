@@ -61,8 +61,13 @@ def _run_configs(args, samples):
             train_config = TrainConfig.from_dict(loaded.get("train", {}))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"run config {args.config}: {exc}") from None
-    return (replace(model_config, **_flags(args, ModelConfig)),
-            replace(train_config, **_flags(args, TrainConfig)))
+    model_flags, train_flags = _flags(args, ModelConfig), _flags(args, TrainConfig)
+    try:
+        return (replace(model_config, **model_flags),
+                replace(train_config, **train_flags))
+    except (TypeError, ValueError) as exc:
+        given = ", ".join(f"{k}={v!r}" for k, v in {**model_flags, **train_flags}.items())
+        raise UsageError(f"flags {given}: {exc}") from None
 
 
 def _flags(args, config_cls) -> dict:

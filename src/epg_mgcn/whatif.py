@@ -39,6 +39,8 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
         if plan.shape != (sample.t_pred, 2):
             raise UsageError(f"plan '{name}' has shape {plan.shape}, "
                              f"expected ({sample.t_pred}, 2)")
+        if not np.isfinite(plan).all():
+            raise UsageError(f"plan '{name}' has a non-finite entry")
     centered = ego_center(sample)
     adjacency = build_adjacency(centered, config.d_d, config.beta_degrees)
 

@@ -339,6 +339,119 @@ class TestGRUCell:
         assert report.passed, report.summary()
 
 
+def composed_gru_cell(x, h, params: GRUParams) -> Tensor:
+    """Oracle: the GRU step composed from primitive graph nodes, the path
+    the single-node ``gru_cell`` replaced."""
+    x, h = ag.as_tensor(x), ag.as_tensor(h)
+    z = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params.w_z), ag.matmul(h, params.u_z)),
+                          params.b_z))
+    r = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params.w_r), ag.matmul(h, params.u_r)),
+                          params.b_r))
+    n = ag.tanh(ag.add(ag.add(ag.matmul(x, params.w_h),
+                              ag.matmul(ag.mul(r, h), params.u_h)), params.b_h))
+    return ag.add(ag.mul(ag.sub(1.0, z), h), ag.mul(z, n))
+
+
+def random_gru_params(rng, cx, ch, dtype=np.float64, frozen=()):
+    """Normal random GRU weights; the fields named in ``frozen`` get
+    ``requires_grad=False``."""
+    shapes = {"w": (cx, ch), "u": (ch, ch), "b": (ch,)}
+    return GRUParams(**{
+        f: Tensor(rng.normal(size=shapes[f[0]]).astype(dtype),
+                  requires_grad=f not in frozen)
+        for f in GRUParams.FIELDS
+    })
+
+
+class TestGRUCellMatchesComposedOracle:
+    """The single-node cell with its hand-written backward against the
+    composed path it replaced."""
+
+    @staticmethod
+    def run(cell, batch, cx, ch, dtype, frozen=(), seed=0):
+        """Output and gradients of sum(cell(x, h) * g) for x, h and the nine
+        parameters; the parameters named in ``frozen`` get none."""
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        x = Tensor(rng.normal(size=lead + (cx,)).astype(dtype), requires_grad=True)
+        h = Tensor(rng.normal(size=lead + (ch,)).astype(dtype), requires_grad=True)
+        params = random_gru_params(rng, cx, ch, dtype, frozen)
+        g = rng.normal(size=lead + (ch,)).astype(dtype)
+        out = cell(x, h, params)
+        ag.tsum(ag.mul(out, g)).backward()
+        grads = {"x": x.grad, "h": h.grad}
+        grads.update({f: getattr(params, f).grad for f in GRUParams.FIELDS})
+        return out.data, grads
+
+    @pytest.mark.parametrize("batch,cx,ch", [
+        (None, 3, 4),  # 1-D input
+        (1, 4, 4),
+        (7, 5, 3),  # C_in != C_h
+        (7, 64, 64),
+    ])
+    @pytest.mark.parametrize("frozen", [(), ("w_r", "u_h", "b_z")])
+    def test_float64_within_1e12(self, batch, cx, ch, frozen):
+        out, grads = self.run(ag.gru_cell, batch, cx, ch, np.float64, frozen)
+        want_out, want = self.run(composed_gru_cell, batch, cx, ch, np.float64, frozen)
+        assert out.shape == want_out.shape
+        assert max_relative_error(out, want_out) <= 1e-12
+        for name, expected in want.items():
+            if expected is None:
+                assert grads[name] is None, name
+                continue
+            assert grads[name].shape == expected.shape, name
+            assert max_relative_error(grads[name], expected) <= 1e-12, name
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_float32_stays_float32(self, batch):
+        out, grads = self.run(ag.gru_cell, batch, 5, 3, np.float32)
+        want_out, want = self.run(composed_gru_cell, batch, 5, 3, np.float64)
+        assert out.dtype == np.float32
+        assert max_relative_error(out, want_out) <= 1e-5
+        for name, expected in want.items():
+            assert grads[name].dtype == np.float32, name
+            assert max_relative_error(grads[name], expected) <= 1e-5, name
+
+    @pytest.mark.parametrize("cx,ch", [(4, 3), (3, 5)])
+    def test_width_mismatch_names_shapes(self, cx, ch):
+        params = random_gru_params(np.random.default_rng(5), 3, 4)
+        with pytest.raises(DimensionError, match=r"gru_cell: input \(2, %d\)" % cx):
+            ag.gru_cell(Tensor(np.zeros((2, cx))), Tensor(np.zeros((2, ch))), params)
+
+    def test_one_node_with_eleven_parents(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 4)))
+        params = random_gru_params(rng, 3, 4)
+        created = []
+        original = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        out = ag.gru_cell(x, h, params)
+        monkeypatch.undo()
+        assert created == [out]
+        expected = [x, h] + [getattr(params, f) for f in GRUParams.FIELDS]
+        assert len(out._parents) == 11
+        assert all(a is b for a, b in zip(out._parents, expected))
+
+    def test_backward_closure_holds_no_weight_sized_array(self):
+        rng = np.random.default_rng(4)
+        batch, cx, ch = 2, 16, 8
+        x = Tensor(rng.normal(size=(batch, cx)), requires_grad=True)
+        h = Tensor(rng.normal(size=(batch, ch)), requires_grad=True)
+        out = ag.gru_cell(x, h, random_gru_params(rng, cx, ch))
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        arrays += [a for v in held if isinstance(v, (list, tuple))
+                   for a in v if isinstance(a, np.ndarray)]
+        assert arrays
+        assert all(a.size < cx * 3 * ch for a in arrays), [a.shape for a in arrays]
+
+
 class TestShapeOps:
     def test_getitem_slice_grad(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
@@ -362,6 +475,22 @@ class TestShapeOps:
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         ag.tsum(ag.gather_rows(x, [0, 0, 2])).backward()
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+    def test_overlapping_slices_both_accumulate(self):
+        x = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+        w1 = np.arange(6.0).reshape(3, 2)
+        w2 = -np.arange(8.0).reshape(4, 2)
+        ag.tsum(ag.add(ag.tsum(ag.mul(x[0:3], w1)),
+                       ag.tsum(ag.mul(x[1:5], w2)))).backward()
+        expected = np.zeros((5, 2))
+        expected[0:3] += w1
+        expected[1:5] += w2
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_getitem_index_array_accumulates_duplicates(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        ag.tsum(x[[0, 0, 2], 1]).backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 2.0], [0.0, 0.0], [0.0, 1.0]])
 
     def test_broadcast_to_grad(self):
         x = Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1), requires_grad=True)

@@ -223,6 +223,19 @@ class TestInputErrors:
         assert str(cfg_path) in err and named in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--batch-size", "0"], "batch_size=0"),
+        (["--lr", "-1"], "initial_lr=-1.0"),
+        (["--channels", "0"], "channels=0"),
+    ])
+    def test_bad_training_flag_is_usage_error(self, tmp_path, samples_file,
+                                              capsys, flags, named):
+        code = main(["train", "--data", str(samples_file), "--out-dir",
+                     str(tmp_path / "run"), "--quiet"] + flags)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text, named", [
         ('{"swerve": [[0, 0]', "invalid JSON"),
         ("[[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]", "expected a JSON object"),

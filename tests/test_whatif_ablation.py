@@ -71,6 +71,17 @@ class TestWhatIf:
         with pytest.raises(UsageError, match="shape"):
             what_if(sample, {"short": np.zeros((2, 2))}, params, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_plan_rejected(self, bad):
+        sample = make_synthetic_dataset(1)[0]
+        cfg = full_config()
+        params = ModelParams.initialize(cfg, seed=1)
+        plan = sample.ego_plan.copy()
+        plan[2, 1] = bad
+        with pytest.raises(UsageError, match="plan 'hole' has a non-finite entry"):
+            what_if(sample, {"ok": sample.ego_plan.copy(), "hole": plan},
+                    params, cfg)
+
 
 class TestAblation:
     def test_ladder_structure(self):
