@@ -1,8 +1,9 @@
 """Minimal reverse-mode differentiation core.
 
 Provides exactly the primitives the prediction network needs: elementwise
-arithmetic, matrix products, same-padded temporal convolution, per-position
-channel mixing (1x1 convolution), the usual activations, and a GRU cell.
+arithmetic, dense and block-diagonal matrix products, same-padded temporal
+convolution, per-position channel mixing (1x1 convolution), the usual
+activations, and a GRU cell.
 Tensors wrap contiguous numpy arrays; every operation is deterministic and
 the backward pass visits nodes in reverse topological order, so identical
 inputs give bitwise-identical outputs and gradients.
@@ -36,6 +37,7 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
+    "block_matmul",
     "relu",
     "sigmoid",
     "tanh",
@@ -65,8 +67,9 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """An n-dimensional array participating in reverse-mode differentiation.
 
-    ``grad`` is populated (same shape as ``data``) for every reachable tensor
-    with ``requires_grad`` after calling :meth:`backward` on a scalar result.
+    After :meth:`backward` on a scalar result, ``grad`` (same shape as
+    ``data``) holds the gradient on that result and on every reachable leaf
+    with ``requires_grad``; interior nodes have freed theirs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "name")
@@ -105,16 +108,34 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar, filling ``grad`` on reachable tensors."""
+        """Backpropagate from a scalar, filling ``grad`` on reachable leaves.
+
+        The pass consumes the graph: once a node's backward has run, the
+        node drops its closure, its parents and (unless it is this root) its
+        gradient, so the tape's memory is released as the pass proceeds.
+        A second backward through any consumed node raises UsageError
+        instead of silently leaving the leaves without gradients.
+        """
         if self.data.size != 1:
             raise UsageError(
                 f"backward() requires a scalar tensor, got shape {self.shape}"
             )
         order = _toposort(self)
+        if any(node._backward is _consumed for node in order):
+            raise UsageError(
+                "backward() reached a graph that an earlier backward() "
+                "consumed; run the forward pass again"
+            )
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
+            node._backward = _consumed
+            node._parents = ()
+            if node is not self:
+                node.grad = None
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -153,6 +174,11 @@ class Tensor:
 def as_tensor(value) -> Tensor:
     """Wrap ``value`` as a constant Tensor unless it already is one."""
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _consumed(_g):
+    """Marks a node whose backward has already run (see Tensor.backward)."""
+    raise UsageError("backward() through a consumed graph node")
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -287,6 +313,42 @@ def matmul(a, b) -> Tensor:
             b._accumulate(gb)
 
     return _make(out_data, (a, b), backward)
+
+
+def block_matmul(blocks, x) -> Tensor:
+    """``block_diag(*blocks) @ x`` without forming the block-diagonal matrix.
+
+    ``blocks`` are constant square arrays (n_s, n_s) and ``x`` is (sum n_s,
+    F); block s multiplies the rows of ``x`` from ``n_0 + ... + n_{s-1}``
+    on, so a batch of scenes mixes each scene's agents with one product per
+    scene's adjacency. Only ``x`` receives a gradient, ``blocks[s]^T @ g``
+    on the same rows.
+    """
+    x = as_tensor(x)
+    blocks = [np.asarray(b) for b in blocks]
+    square = all(b.ndim == 2 and b.shape[0] == b.shape[1] for b in blocks)
+    if x.ndim != 2 or not square or sum(len(b) for b in blocks) != len(x.data):
+        raise DimensionError(
+            f"block_matmul: blocks {[b.shape for b in blocks]} do not tile "
+            f"the rows of {x.shape}"
+        )
+    spans, lo = [], 0
+    for b in blocks:
+        spans.append((b, lo, lo + len(b)))
+        lo += len(b)
+    # products straight into row slices of the result: no per-block copy
+    out_data = np.empty(x.shape, dtype=np.result_type(x.data, *blocks))
+    for b, lo, hi in spans:
+        np.matmul(b, x.data[lo:hi], out=out_data[lo:hi])
+
+    def backward(g):
+        if x.requires_grad:
+            gx = np.empty_like(g)
+            for b, lo, hi in spans:
+                np.matmul(b.T, g[lo:hi], out=gx[lo:hi])
+            x._accumulate(gx)
+
+    return _make(out_data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -204,39 +204,60 @@ class ModelParams:
             for name, t in self.tensors.items()
         })
 
+    def detached(self) -> "ModelParams":
+        """The same arrays, not requiring gradients: a forward pass on them
+        records no backward tape, so its intermediates are freed as it
+        goes."""
+        return ModelParams(self.config, {
+            name: Tensor(t.data, name=name) for name, t in self.tensors.items()
+        })
+
 
 # ---------------------------------------------------------------------------
 # forward pieces
 # ---------------------------------------------------------------------------
+#
+# Every piece takes one sample or a batch of them. The agents of a batch are
+# concatenated scene after scene along the agent axis; per-agent steps
+# (embedding, temporal convolution, fusion, decoders) run on all of them at
+# once, and only the spatial mixing and the plan encoding see the scenes.
 
 
-def embed_inputs(sample: Sample, params: ModelParams,
-                 config: ModelConfig) -> Tensor:
+def _scenes(samples) -> list:
+    """A sample as a batch of one, or the batch as a list."""
+    return [samples] if isinstance(samples, Sample) else list(samples)
+
+
+def embed_inputs(samples, params: ModelParams, config: ModelConfig) -> Tensor:
     """Lift observed 2-D coordinates to C channels. Masked frames produce
-    zero feature columns. Returns (N, C, T_obs_points)."""
-    feats = ag.channel_mix(Tensor(sample.observed),
+    zero feature columns. Returns (sum N, C, T_obs_points)."""
+    scenes = _scenes(samples)
+    observed = np.concatenate([s.observed for s in scenes])
+    mask = np.concatenate([s.obs_mask for s in scenes])
+    feats = ag.channel_mix(Tensor(observed),
                            params["embed.weight"], params["embed.bias"], axis=2)
-    feats = ag.mul(feats, sample.obs_mask[:, :, None].astype(sample.observed.dtype))
+    feats = ag.mul(feats, mask[:, :, None].astype(observed.dtype))
     return ag.transpose(feats, (0, 2, 1))  # (N, T, C) -> (N, C, T)
 
 
-def graph_conv_block(z: Tensor, norm_adj: np.ndarray, spatial_weight: Tensor,
+def graph_conv_block(z: Tensor, norm_adj, spatial_weight: Tensor,
                      temporal_kernel: Tensor) -> Tensor:
     """One block: per-frame spatial mixing with the normalized adjacency and
     the learnable channel map, ReLU, then a same-padded temporal convolution.
-    Neither step carries a bias, so zero features stay zero."""
+    Neither step carries a bias, so zero features stay zero.
+
+    ``norm_adj`` is one scene's (N, N) matrix, or a sequence with one matrix
+    per scene of a batch: a block-diagonal mixing that never couples
+    agents of different scenes."""
     n, c, t = z.shape
-    if norm_adj.shape != (n, n):
-        raise DimensionError(
-            f"adjacency {norm_adj.shape} does not match {n} agents"
-        )
-    mixed = ag.reshape(ag.matmul(Tensor(norm_adj), ag.reshape(z, (n, c * t))),
+    blocks = [norm_adj] if isinstance(norm_adj, np.ndarray) else norm_adj
+    mixed = ag.reshape(ag.block_matmul(blocks, ag.reshape(z, (n, c * t))),
                        (n, c, t))
     lifted = ag.channel_mix(mixed, spatial_weight, axis=1)
     return ag.temporal_conv(ag.relu(lifted), temporal_kernel)
 
 
-def _branch(z: Tensor, norm_adj: np.ndarray, params: ModelParams,
+def _branch(z: Tensor, norm_adj, params: ModelParams,
             graph_name: str, config: ModelConfig) -> Tensor:
     out = z
     for b in range(config.blocks_per_branch):
@@ -260,12 +281,15 @@ def fuse_graph_features(branch_outputs, params: ModelParams) -> Tensor:
 def encode_plan(ego_plan: np.ndarray, params: ModelParams,
                 config: ModelConfig) -> Tensor:
     """Embed the planned trajectory per frame and scan it with a GRU from a
-    zero initial state; returns the final hidden state (C,)."""
+    zero initial state; returns the final hidden state. One (T_pred, 2)
+    plan gives (C,); S plans stacked time-major, (T_pred, S, 2), run as the
+    S rows of one scan and give (S, C)."""
     embedded = ag.channel_mix(Tensor(np.asarray(ego_plan)),
                               params["plan.embed.weight"],
-                              params["plan.embed.bias"], axis=1)  # (T_pred, C)
+                              params["plan.embed.bias"], axis=-1)  # (T, [S,] C)
     gru = params.gru("plan.gru")
-    h = Tensor(np.zeros(config.channels, dtype=embedded.data.dtype))
+    h = Tensor(np.zeros(embedded.shape[1:-1] + (config.channels,),
+                        dtype=embedded.data.dtype))
     for t in range(embedded.shape[0]):
         h = ag.gru_cell(embedded[t], h, gru)
     return h
@@ -274,12 +298,14 @@ def encode_plan(ego_plan: np.ndarray, params: ModelParams,
 def fuse_plan_features(f_graphs: Tensor, plan_encoding,
                        params: ModelParams, config: ModelConfig) -> Tensor:
     """Broadcast the plan encoding over agents and frames, stack it with the
-    graph features, and mix with a 1x1 convolution plus ReLU. With planning
-    fusion disabled this is just ReLU of the graph features (no parameters)."""
+    graph features, and mix with a 1x1 convolution plus ReLU. The encoding
+    is one (C,) vector for every agent or one (N, C) row per agent. With
+    planning fusion disabled this is just ReLU of the graph features (no
+    parameters)."""
     if not config.planning_fusion_enabled:
         return ag.relu(f_graphs)
     n, c, t = f_graphs.shape
-    tiled = ag.broadcast_to(ag.reshape(plan_encoding, (1, c, 1)), (n, c, t))
+    tiled = ag.broadcast_to(ag.reshape(plan_encoding, (-1, c, 1)), (n, c, t))
     stacked = ag.stack([f_graphs, tiled], axis=0)  # (2, N, C, T)
     mixed = ag.channel_mix(stacked, params["plan_fusion.weight"],
                            params["plan_fusion.bias"], axis=0)
@@ -302,20 +328,24 @@ def _decoder_key(category: str, config: ModelConfig):
     return category if config.category_specific_decoders else "shared"
 
 
-def cs_gru_decode(f_fusion: Tensor, sample: Sample, params: ModelParams,
+def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
                   config: ModelConfig) -> Tensor:
     """Decode every agent whose category has a decoder; context-only agents
-    keep their last observed position. Returns (N, T_pred, 2).
+    keep their last observed position. Returns (sum N, T_pred, 2).
 
     Per agent: the encoder GRU scans its fused features to a hidden state,
     the decoder GRU starts from that state with the embedded current
     position as first input, and each step's hidden state projects to a
-    displacement added onto the previous position.
+    displacement added onto the previous position. A decoder runs the
+    agents of its category from every scene of the batch as one group.
     """
-    n = sample.n_agents
+    scenes = _scenes(samples)
+    categories = [c for s in scenes for c in s.categories]
+    current = np.concatenate([s.observed[:, -1] for s in scenes])  # (N, 2)
+    n = len(categories)
     groups: dict = {}
     undecoded = []
-    for i, cat in enumerate(sample.categories):
+    for i, cat in enumerate(categories):
         key = _decoder_key(cat, config)
         if key is None:
             undecoded.append(i)
@@ -334,7 +364,7 @@ def cs_gru_decode(f_fusion: Tensor, sample: Sample, params: ModelParams,
         h = Tensor(np.zeros((len(idx), config.channels), dtype=f_in.data.dtype))
         for t in range(f_in.shape[2]):
             h = ag.gru_cell(f_in[:, :, t], h, enc)
-        pos = Tensor(sample.observed[idx, -1])  # (B, 2) current positions
+        pos = Tensor(current[idx])  # (B, 2)
         steps = []
         for _ in range(config.t_pred):
             inp = ag.channel_mix(pos, params[f"decoder.{key}.pos_embed.weight"],
@@ -347,7 +377,7 @@ def cs_gru_decode(f_fusion: Tensor, sample: Sample, params: ModelParams,
         blocks.append(ag.transpose(ag.stack(steps, axis=0), (1, 0, 2)))
         order.extend(idx)
     if undecoded:
-        last = sample.observed[undecoded, -1]
+        last = current[undecoded]
         blocks.append(Tensor(np.repeat(last[:, None, :], config.t_pred, axis=1)))
         order.extend(undecoded)
 
@@ -357,35 +387,53 @@ def cs_gru_decode(f_fusion: Tensor, sample: Sample, params: ModelParams,
     return ag.gather_rows(combined, inverse)
 
 
-def forward(sample: Sample, config: ModelConfig, params: ModelParams,
-            adjacency: AdjacencySet | None = None) -> Tensor:
-    """Full network pass on an ego-centered sample. Builds (or accepts
-    precomputed) adjacency, normalizes the enabled graphs, and returns
-    predicted trajectories (N, T_pred, 2) in the sample's frame."""
-    if sample.t_obs_points != config.t_obs_points:
-        raise DimensionError(
-            f"sample has {sample.t_obs_points} observed points, "
-            f"config expects {config.t_obs_points}"
-        )
-    if sample.t_pred != config.t_pred:
-        raise DimensionError(
-            f"sample has {sample.t_pred} future frames, config expects {config.t_pred}"
-        )
+def forward(samples, config: ModelConfig, params: ModelParams,
+            adjacency=None) -> Tensor:
+    """Full network pass on one ego-centered sample or a batch of them.
+    Builds (or accepts precomputed, one ``AdjacencySet`` per sample)
+    adjacency, normalizes the enabled graphs, and returns predicted
+    trajectories (sum N, T_pred, 2) in each sample's frame, the agents of
+    the samples in order. A batch gives each scene the rows it would get on
+    its own, up to rounding."""
+    scenes = _scenes(samples)
+    if not scenes:
+        raise UsageError("forward() needs at least one sample")
+    for sample in scenes:
+        if sample.t_obs_points != config.t_obs_points:
+            raise DimensionError(
+                f"sample has {sample.t_obs_points} observed points, "
+                f"config expects {config.t_obs_points}"
+            )
+        if sample.t_pred != config.t_pred:
+            raise DimensionError(
+                f"sample has {sample.t_pred} future frames, "
+                f"config expects {config.t_pred}"
+            )
     if adjacency is None:
-        adjacency = build_adjacency(sample, config.d_d, config.beta_degrees)
-    z = embed_inputs(sample, params, config)
+        adjacency = [build_adjacency(s, config.d_d, config.beta_degrees)
+                     for s in scenes]
+    elif isinstance(adjacency, AdjacencySet):
+        adjacency = [adjacency]
+    if len(adjacency) != len(scenes):
+        raise UsageError(f"{len(adjacency)} adjacency sets for "
+                         f"{len(scenes)} samples")
+    z = embed_inputs(scenes, params, config)
     dtype = z.data.dtype
     branch_outputs = [
-        _branch(z, normalize_adjacency(adjacency.get(g)).astype(dtype),
+        _branch(z, [normalize_adjacency(a.get(g)).astype(dtype) for a in adjacency],
                 params, g, config)
         for g in config.branch_order
     ]
     f_graphs = fuse_graph_features(branch_outputs, params)
     plan_encoding = None
     if config.planning_fusion_enabled:
-        plan_encoding = encode_plan(sample.ego_plan, params, config)
+        per_scene = encode_plan(np.stack([s.ego_plan for s in scenes], axis=1),
+                                params, config)  # (S, C)
+        scene_of_agent = np.repeat(np.arange(len(scenes)),
+                                   [s.n_agents for s in scenes])
+        plan_encoding = ag.gather_rows(per_scene, scene_of_agent)
     f_fusion = fuse_plan_features(f_graphs, plan_encoding, params, config)
-    return cs_gru_decode(f_fusion, sample, params, config)
+    return cs_gru_decode(f_fusion, scenes, params, config)
 
 
 def predict(sample: Sample, config: ModelConfig, params: ModelParams) -> np.ndarray:
@@ -396,21 +444,31 @@ def predict(sample: Sample, config: ModelConfig, params: ModelParams) -> np.ndar
     return out.data + centered.origin
 
 
-def prediction_loss(predictions: Tensor, sample: Sample,
-                    config: ModelConfig):
+def prediction_loss(predictions: Tensor, samples, config: ModelConfig):
     """Mean squared Euclidean error (meters^2) over supervised agents and
-    unmasked future frames; the ego never contributes. Returns the scalar
-    loss tensor and the number of contributing agent-frames (0 means the
-    loss is the defined zero for a sample with no supervised agents)."""
-    sup = supervised_mask(sample, config)
-    weight = (sup[:, None] & sample.fut_mask).astype(sample.future.dtype)
-    count = int(weight.sum())
+    unmasked future frames; the ego never contributes.
+
+    ``predictions`` are the rows ``forward`` returns for ``samples``, one
+    sample or a batch. The loss is the mean over samples of each sample's
+    own mean, so a sample weighs the same whatever its agent count; a
+    sample with no supervised agent adds zero but still counts in the
+    divisor. Returns the scalar loss tensor and the number of contributing
+    agent-frames over the batch (0 means the loss is the defined zero)."""
+    scenes = _scenes(samples)
+    weights = []
+    count = 0
+    for s in scenes:
+        sup = supervised_mask(s, config)
+        w = (sup[:, None] & s.fut_mask).astype(s.future.dtype)
+        k = int(w.sum())
+        count += k
+        weights.append(w / (k * len(scenes)) if k else w)
     if count == 0:
         return Tensor(0.0), 0
-    diff = ag.sub(predictions, sample.future)
+    weight = np.concatenate(weights)
+    diff = ag.sub(predictions, np.concatenate([s.future for s in scenes]))
     sq = ag.mul(diff, diff)
-    total = ag.tsum(ag.mul(sq, weight[:, :, None]))
-    return ag.mul(total, 1.0 / count), count
+    return ag.tsum(ag.mul(sq, weight[:, :, None])), count
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 One seeded PCG64 generator (numpy ``default_rng``) drives both parameter
 initialization and epoch shuffling, and its state is persisted in
 checkpoints, so a resumed run continues the loss trace bitwise identically
-to an uninterrupted one. Per-sample losses are averaged over each batch
-before a single backward pass; Adam applies the update at the scheduled
-learning rate ``initial_lr * decay_factor ** floor(epoch / decay_every)``.
+to an uninterrupted one. Each batch is one forward pass over its scenes,
+one loss (the mean over samples of each sample's mean loss) and one
+backward pass; Adam applies the update at the scheduled learning rate
+``initial_lr * decay_factor ** floor(epoch / decay_every)``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autograd as ag
 from .errors import DataError, FormatError, NumericError, UsageError
 from .graphs import build_adjacency
 from .model import (
@@ -179,12 +179,9 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         start_epoch = 0
         record = RunRecord()
 
-    prepared = []
-    for s in samples:
-        centered = ego_center(_cast_sample(s, train_config.dtype))
-        prepared.append((centered,
-                         build_adjacency(centered, model_config.d_d,
-                                         model_config.beta_degrees)))
+    prepared = [ego_center(_cast_sample(s, train_config.dtype)) for s in samples]
+    adjacencies = [build_adjacency(s, model_config.d_d, model_config.beta_degrees)
+                   for s in prepared]
 
     run_dir = Path(run_dir) if run_dir is not None else None
     if run_dir is not None:
@@ -199,26 +196,21 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         loss_sum = 0.0
         for b0 in range(0, n, train_config.batch_size):
             batch = perm[b0:b0 + train_config.batch_size]
+            where = (f"at epoch {epoch}, batch {b0 // train_config.batch_size} "
+                     f"(samples {', '.join(str(i) for i in batch)})")
             optimizer.zero_grad()
-            batch_loss = None
-            for i in batch:
-                sample, adjacency = prepared[i]
-                out = forward(sample, model_config, params, adjacency)
-                loss, _ = prediction_loss(out, sample, model_config)
-                batch_loss = loss if batch_loss is None else ag.add(batch_loss, loss)
-            batch_loss = ag.mul(batch_loss, 1.0 / len(batch))
+            scenes = [prepared[i] for i in batch]
+            out = forward(scenes, model_config, params,
+                          [adjacencies[i] for i in batch])
+            batch_loss, _ = prediction_loss(out, scenes, model_config)
             value = batch_loss.item()
             if not math.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {b0 // train_config.batch_size}"
-                )
+                raise NumericError(f"non-finite loss {where}")
             batch_loss.backward()
             for name, tensor in params.items():
                 if not np.isfinite(tensor.grad).all():
                     raise NumericError(
-                        f"non-finite gradient for parameter '{name}' at epoch "
-                        f"{epoch}, batch {b0 // train_config.batch_size}"
-                    )
+                        f"non-finite gradient for parameter '{name}' {where}")
             optimizer.step()
             loss_sum += value * len(batch)
         record.append(EpochRecord(epoch, loss_sum / n, lr,

@@ -30,8 +30,11 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
 
     Each plan is (t_pred, 2) in the sample's original frame. Only the
     planning graph depends on the plan, so the other three graphs are built
-    once. Returns (base result, [alternative results]); divergence is
-    per-agent Frobenius distance between predicted trajectories.
+    once. The distinct plans (the base first) run as one batch, one scene
+    each; a plan equal to another, bit for bit, reuses that plan's rows, so
+    an alternative equal to the base plan diverges by exactly zero. Returns
+    (base result, [alternative results]); divergence is per-agent Frobenius
+    distance between predicted trajectories.
     """
     plans = {name: np.asarray(plan, dtype=np.float64)
              for name, plan in alternative_plans.items()}
@@ -44,33 +47,38 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
     centered = ego_center(sample)
     adjacency = build_adjacency(centered, config.d_d, config.beta_degrees)
 
-    def run(plan_centered: np.ndarray, name: str, base_pred=None):
-        variant = centered.copy()
-        variant.ego_plan = plan_centered
-        adj = AdjacencySet(
-            distance=adjacency.distance,
-            visibility=adjacency.visibility,
-            planning=build_planning_graph(variant, config.beta_degrees),
-            category=adjacency.category,
-        )
-        pred = forward(variant, config, params, adj).data + centered.origin
-        if base_pred is None:
-            divergence = np.zeros(sample.n_agents)
-            max_diff = 0.0
-        else:
-            delta = pred - base_pred
-            divergence = np.sqrt((delta ** 2).sum(axis=(1, 2)))
-            max_diff = float(np.abs(delta).max())
-        return WhatIfResult(
-            name=name,
-            predictions=pred,
-            planning_column=adj.planning[:, Sample.EGO_INDEX].copy(),
-            divergence=divergence,
-            max_coordinate_diff=max_diff,
-        )
+    named = [("base", centered.ego_plan)]
+    named += [(name, plan - centered.origin) for name, plan in plans.items()]
+    slot = {}  # plan bytes -> scene index in the batch
+    variants, adjacencies, position = [], [], []
+    for _, plan in named:
+        key = np.asarray(plan, dtype=np.float64).tobytes()
+        if key not in slot:
+            slot[key] = len(variants)
+            variant = centered.copy()
+            variant.ego_plan = plan
+            variants.append(variant)
+            adjacencies.append(AdjacencySet(
+                distance=adjacency.distance,
+                visibility=adjacency.visibility,
+                planning=build_planning_graph(variant, config.beta_degrees),
+                category=adjacency.category,
+            ))
+        position.append(slot[key])
+    # no gradient leaves a what-if run, and at large N the tape of every
+    # plan of the batch costs more than the products it would serve
+    out = forward(variants, config, params.detached(), adjacencies).data
+    preds = (out.reshape(len(variants), sample.n_agents, config.t_pred, 2)
+             + centered.origin)
 
-    base = run(centered.ego_plan, "base")
     results = []
-    for name, plan in plans.items():
-        results.append(run(plan - centered.origin, name, base.predictions))
-    return base, results
+    for (name, _), k in zip(named, position):
+        delta = preds[k] - preds[0]
+        results.append(WhatIfResult(
+            name=name,
+            predictions=preds[k].copy(),
+            planning_column=adjacencies[k].planning[:, Sample.EGO_INDEX].copy(),
+            divergence=np.sqrt((delta ** 2).sum(axis=(1, 2))),
+            max_coordinate_diff=float(np.abs(delta).max()),
+        ))
+    return results[0], results[1:]

@@ -6,7 +6,7 @@ import pytest
 
 from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import GRUParams, Tensor
-from epg_mgcn.errors import DimensionError
+from epg_mgcn.errors import DimensionError, UsageError
 from epg_mgcn.gradcheck import finite_diff_check
 
 
@@ -79,6 +79,61 @@ class TestMatmul:
         assert out2.shape == (5,)
         ag.tsum(out2).backward()
         np.testing.assert_allclose(u.grad, w.data.sum(axis=0), atol=1e-12)
+
+
+def dense_block_diag(blocks):
+    """The block-diagonal matrix itself: the oracle for ``block_matmul``."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    lo = 0
+    for b in blocks:
+        out[lo:lo + b.shape[0], lo:lo + b.shape[0]] = b
+        lo += b.shape[0]
+    return out
+
+
+class TestBlockMatmul:
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 4, 2), (5, 1, 1, 7)])
+    def test_matches_dense_block_diag_product(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        blocks = [rng.normal(size=(n, n)) for n in sizes]
+        x = Tensor(rng.normal(size=(sum(sizes), 6)), requires_grad=True)
+        g = rng.normal(size=(sum(sizes), 6))
+        out = ag.block_matmul(blocks, x)
+        ag.tsum(ag.mul(out, g)).backward()
+        dense = dense_block_diag(blocks)
+        np.testing.assert_allclose(out.data, dense @ x.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, dense.T @ g, rtol=1e-12, atol=1e-12)
+
+    def test_one_block_equals_matmul_bitwise(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 5))
+        x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        y = Tensor(x.data.copy(), requires_grad=True)
+        out = ag.block_matmul([a], x)
+        ref = ag.matmul(Tensor(a), y)
+        ag.tsum(out).backward()
+        ag.tsum(ref).backward()
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert x.grad.tobytes() == y.grad.tobytes()
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(4)
+        blocks = [rng.normal(size=(n, n)).astype(np.float32) for n in (2, 3)]
+        x = Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True)
+        out = ag.block_matmul(blocks, x)
+        ag.tsum(out).backward()
+        assert out.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("blocks, rows", [
+        ([np.eye(2), np.eye(2)], 5),
+        ([np.zeros((2, 3))], 2),
+        ([np.eye(2)], 3),
+    ])
+    def test_blocks_must_tile_the_rows(self, blocks, rows):
+        with pytest.raises(DimensionError, match="do not tile"):
+            ag.block_matmul(blocks, Tensor(np.zeros((rows, 4))))
 
 
 class TestTemporalConv:
@@ -563,3 +618,37 @@ class TestChainAndDeterminism:
         report = finite_diff_check(loss, {"x": x, "kernel": kernel, "w": w},
                                    epsilon=1e-6, tolerance=1e-6)
         assert report.passed, report.summary()
+
+
+class TestBackwardConsumesGraph:
+    def test_second_backward_raises(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = ag.tsum(ag.mul(ag.tanh(w), w))
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(UsageError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, first)
+
+    def test_backward_through_a_consumed_subgraph_raises(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        shared = ag.tanh(w)
+        ag.tsum(shared).backward()
+        with pytest.raises(UsageError, match="consumed"):
+            ag.tsum(ag.mul(shared, 2.0)).backward()
+
+    def test_interior_grads_freed_leaves_and_root_kept(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        hidden = ag.matmul(x, w)
+        act = ag.sigmoid(hidden)
+        loss = ag.tsum(act)
+        loss.backward()
+        s = act.data
+        np.testing.assert_allclose(x.grad, (s * (1 - s)) @ w.data.T, atol=1e-12)
+        np.testing.assert_allclose(w.grad, x.data.T @ (s * (1 - s)), atol=1e-12)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        for interior in (hidden, act):
+            assert interior.grad is None
+            assert interior._parents == ()

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_sample, random_scene
 from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import Tensor
-from epg_mgcn.errors import FormatError, RoutingError
+from epg_mgcn.errors import FormatError, RoutingError, UsageError
 from epg_mgcn.gradcheck import finite_diff_check
 from epg_mgcn.graphs import build_adjacency
 from epg_mgcn.model import (
@@ -426,6 +426,181 @@ class TestPredictionLoss:
                         terms += 1
             assert count == terms
             np.testing.assert_allclose(loss.item(), total / max(terms, 1), atol=1e-12)
+
+
+def per_sample_mean_loss(scenes, cfg, params):
+    """The oracle for the batched loss: one forward pass per sample, the
+    mean of the per-sample losses."""
+    total, count = None, 0
+    for s in scenes:
+        loss, k = prediction_loss(forward(s, cfg, params), s, cfg)
+        total = loss if total is None else ag.add(total, loss)
+        count += k
+    return ag.mul(total, 1.0 / len(scenes)), count
+
+
+def grads_after(loss, params):
+    for t in params.tensors.values():
+        t.zero_grad()
+    loss.backward()
+    return {name: t.grad.copy() for name, t in params.items()}
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Within ``rel`` of the largest magnitude in ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=rel,
+                               atol=rel * np.abs(expected).max())
+
+
+def batch_fixture(rng, n_scenes):
+    """random_scene fixtures with masked and absent agents; the second scene
+    has no supervised agent (every neighbor loses its last future frame)."""
+    scenes = [ego_center(random_scene(rng, n_max=8)) for _ in range(n_scenes)]
+    if n_scenes > 1:
+        scenes[1].fut_mask[1:, -1] = False
+    return scenes
+
+
+BATCH_CONFIG = ModelConfig(channels=8, t_obs_points=4, t_pred=5)
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("n_scenes", [1, 3, 8])
+    def test_loss_and_gradients_match_per_sample_mean(self, n_scenes):
+        rng = np.random.default_rng(40 + n_scenes)
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=n_scenes)
+        scenes = batch_fixture(rng, n_scenes)
+        if n_scenes > 1:  # the fixture holds what the oracle must cover
+            assert supervised_mask(scenes[1], cfg).sum() == 0
+            assert any((~s.obs_mask).any() for s in scenes)
+
+        oracle, oracle_count = per_sample_mean_loss(scenes, cfg, params)
+        oracle_value = oracle.item()
+        expected = grads_after(oracle, params)
+        loss, count = prediction_loss(forward(scenes, cfg, params), scenes, cfg)
+        value = loss.item()
+        actual = grads_after(loss, params)
+
+        assert count == oracle_count > 0
+        assert_rel_close(value, oracle_value)
+        for name in params.names():
+            assert_rel_close(actual[name], expected[name])
+
+    def test_rows_follow_the_scenes(self, rng):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=2)
+        scenes = batch_fixture(rng, 4)
+        out = forward(scenes, cfg, params).data
+        assert out.shape == (sum(s.n_agents for s in scenes), cfg.t_pred, 2)
+        lo = 0
+        for s in scenes:
+            assert_rel_close(out[lo:lo + s.n_agents], forward(s, cfg, params).data)
+            lo += s.n_agents
+
+    def test_float32_batch_stays_float32(self, rng):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=3, dtype=np.float32)
+        scenes = batch_fixture(rng, 3)
+        for s in scenes:
+            for f in ("observed", "future", "ego_plan"):
+                setattr(s, f, getattr(s, f).astype(np.float32))
+        out = forward(scenes, cfg, params)
+        loss, _ = prediction_loss(out, scenes, cfg)
+        loss.backward()
+        assert out.data.dtype == np.float32
+        assert loss.data.dtype == np.float32
+        for name, t in params.items():
+            assert t.grad.dtype == np.float32, name
+
+    def test_detached_params_same_rows_no_tape(self, rng):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=8)
+        scenes = batch_fixture(rng, 3)
+        detached = params.detached()
+        out = forward(scenes, cfg, detached)
+        assert out.data.tobytes() == forward(scenes, cfg, params).data.tobytes()
+        assert not out.requires_grad and out._parents == ()
+        for name, t in detached.items():
+            assert t.data is params[name].data and not t.requires_grad
+
+    def test_bad_batch_arguments(self, rng):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=4)
+        scenes = batch_fixture(rng, 2)
+        adjacency = build_adjacency(scenes[0], cfg.d_d, cfg.beta_degrees)
+        with pytest.raises(UsageError, match="1 adjacency sets for 2 samples"):
+            forward(scenes, cfg, params, [adjacency])
+        with pytest.raises(UsageError, match="at least one sample"):
+            forward([], cfg, params)
+
+
+def degenerate_scene(case):
+    """(sample, supervised agent-frames) for one degenerate scene shape."""
+    t_obs, t_pred = BATCH_CONFIG.t_obs_points, BATCH_CONFIG.t_pred
+    rng = np.random.default_rng(len(case))
+    if case == "ego_alone":
+        observed, categories = rng.normal(size=(1, t_obs, 2)), ["vehicle"]
+    elif case == "only_others":
+        observed, categories = rng.normal(size=(4, t_obs, 2)) * 5, ["others"] * 4
+    elif case == "coincident":
+        observed = rng.normal(size=(3, t_obs, 2)) * 5
+        observed[2] = observed[1]
+        categories = ["vehicle", "pedestrian", "pedestrian"]
+    elif case == "n60":
+        observed = rng.normal(size=(60, t_obs, 2)) * 10
+        categories = [("vehicle", "pedestrian", "bicyclist", "others")[i % 4]
+                      for i in range(60)]
+    else:  # neighbors_absent_at_last_frame
+        observed = rng.normal(size=(4, t_obs, 2)) * 5
+        categories = ["vehicle", "vehicle", "pedestrian", "bicyclist"]
+    sample = make_sample(observed, categories, t_pred=t_pred)
+    if case == "neighbors_absent_at_last_frame":
+        sample.obs_mask[1:, -1] = False
+        sample.observed[1:, -1] = 0.0
+    decodable = [c in BATCH_CONFIG.categories_decoded for c in categories[1:]]
+    return ego_center(sample), t_pred * sum(decodable)
+
+
+DEGENERATE_CASES = ["ego_alone", "only_others", "neighbors_absent_at_last_frame",
+                    "coincident", "n60"]
+
+
+@pytest.mark.filterwarnings("ignore:coincident agents")
+class TestDegenerateScenes:
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
+    def test_alone(self, case):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=5)
+        sample, expected_count = degenerate_scene(case)
+        out = forward(sample, cfg, params)
+        assert out.shape == (sample.n_agents, cfg.t_pred, 2)
+        assert np.isfinite(out.data).all()
+        loss, count = prediction_loss(out, sample, cfg)
+        assert np.isfinite(loss.item())
+        assert count == expected_count
+        if count == 0:
+            assert loss.item() == 0.0
+
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
+    def test_in_a_batch(self, case):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=6)
+        rng = np.random.default_rng(7)
+        sample, expected_count = degenerate_scene(case)
+        scenes = [ego_center(random_scene(rng, n_max=8)), sample,
+                  ego_center(random_scene(rng, n_max=8))]
+        out = forward(scenes, cfg, params)
+        assert np.isfinite(out.data).all()
+        lo = 0
+        for s in scenes:
+            assert_rel_close(out.data[lo:lo + s.n_agents], forward(s, cfg, params).data)
+            lo += s.n_agents
+        loss, count = prediction_loss(out, scenes, cfg)
+        assert np.isfinite(loss.item())
+        assert count == expected_count + sum(
+            prediction_loss(forward(s, cfg, params), s, cfg)[1]
+            for s in (scenes[0], scenes[2]))
 
 
 class TestEndToEndGradient:

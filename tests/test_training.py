@@ -120,6 +120,38 @@ class TestTrainLoop:
                 f"gradient for parameter '{first_kernel}' at epoch 0, batch 0")):
             train(samples, model, small_train(max_epochs=1))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_loss_names_the_batch_samples(self):
+        samples = make_synthetic_dataset(3)
+        samples[1].future[1, 0, 0] = 1e200
+        samples[1].fut_mask[:] = True
+        # the trainer's generator draws the epoch's permutation first
+        position = list(np.random.default_rng(5).permutation(3)).index(1)
+        with pytest.raises(NumericError, match=(
+                rf"non-finite loss at epoch 0, batch {position} \(samples 1\)")):
+            train(samples, small_model(), small_train(batch_size=1, max_epochs=1))
+
+    def test_non_finite_gradient_names_the_batch_samples(self, monkeypatch):
+        samples = make_synthetic_dataset(3)
+        real_conv = ag.temporal_conv
+
+        def conv_with_poisoned_kernel_grad(x, kernel, bias=None):
+            out = real_conv(x, kernel, bias)
+            backward = out._backward
+
+            def poisoned(g):
+                backward(g)
+                kernel.grad[0, 0, 0] = np.inf
+
+            out._backward = poisoned
+            return out
+
+        monkeypatch.setattr(ag, "temporal_conv", conv_with_poisoned_kernel_grad)
+        first, second = np.random.default_rng(5).permutation(3)[:2]
+        with pytest.raises(NumericError, match=(
+                rf"at epoch 0, batch 0 \(samples {first}, {second}\)$")):
+            train(samples, small_model(), small_train(batch_size=2, max_epochs=1))
+
     def test_single_precision_smoke(self):
         samples = make_synthetic_dataset(3)
         result = train(samples, small_model(),

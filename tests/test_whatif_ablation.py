@@ -7,7 +7,7 @@ import pytest
 from epg_mgcn.ablation import ABLATION_ROWS, ablation_configs, run_ablation
 from epg_mgcn.errors import UsageError
 from epg_mgcn.graphs import build_planning_graph
-from epg_mgcn.model import ModelConfig, ModelParams, param_specs
+from epg_mgcn.model import ModelConfig, ModelParams, param_specs, predict
 from epg_mgcn.scene import ego_center
 from epg_mgcn.synthetic import make_synthetic_dataset
 from epg_mgcn.training import TrainConfig, train
@@ -63,6 +63,30 @@ class TestWhatIf:
         for res in results:
             np.testing.assert_array_equal(res.divergence, 0.0)
             assert res.max_coordinate_diff == 0.0
+
+    def test_plan_equal_to_base_among_others_gives_base_bitwise(self):
+        sample = make_synthetic_dataset(1)[0]
+        cfg = full_config()
+        params = ModelParams.initialize(cfg, seed=3)
+        plans = {"shift": sample.ego_plan + np.array([1.5, -0.5]),
+                 "same": sample.ego_plan.copy(),
+                 "stretch": sample.ego_plan * 1.25,
+                 "shift_again": sample.ego_plan + np.array([1.5, -0.5])}
+        base, (shift, same, stretch, again) = what_if(sample, plans, params, cfg)
+        assert same.predictions.tobytes() == base.predictions.tobytes()
+        np.testing.assert_array_equal(same.divergence, 0.0)
+        assert same.max_coordinate_diff == 0.0
+        assert again.predictions.tobytes() == shift.predictions.tobytes()
+        assert shift.max_coordinate_diff > 0 and stretch.max_coordinate_diff > 0
+        np.testing.assert_allclose(base.predictions, predict(sample, cfg, params),
+                                   rtol=1e-12, atol=1e-12)
+        # every plan of the batch gets the rows of its own single-plan call
+        for name, res in [("shift", shift), ("stretch", stretch)]:
+            _, (alone,) = what_if(sample, {name: plans[name]}, params, cfg)
+            np.testing.assert_allclose(res.predictions, alone.predictions,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(res.divergence, alone.divergence,
+                                       rtol=1e-9, atol=1e-12)
 
     def test_plan_length_mismatch_rejected(self):
         sample = make_synthetic_dataset(1)[0]
