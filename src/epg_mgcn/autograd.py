@@ -35,7 +35,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
     "block_matmul",
     "relu",
@@ -142,31 +141,6 @@ class Tensor:
         nm = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{req}{nm})"
 
-    # operator sugar; the module-level functions do the work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return _getitem(self, key)
 
@@ -263,16 +237,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "build_category_graph",
     "build_adjacency",
     "normalize_adjacency",
-    "dump_adjacency",
 ]
 
 MOTION_EPSILON = 1e-4  # meters per frame below which a heading is undefined
@@ -196,11 +195,3 @@ def normalize_adjacency(e: np.ndarray) -> np.ndarray:
         raise DimensionError(f"adjacency must be square, got {e.shape}")
     e_hat = e + np.eye(e.shape[0])
     return e_hat / e_hat.sum(axis=0, keepdims=True)
-
-
-def dump_adjacency(matrix: np.ndarray, path) -> None:
-    """Write a matrix as a dense decimal-text grid (fixture comparison aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(matrix):
-            fh.write(" ".join(format(float(v), ".17g") for v in row))
-            fh.write("\n")

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graphs import build_adjacency
-from .model import ModelConfig, ModelParams, forward, supervised_mask
-from .scene import Sample, ego_center
+from .model import ModelConfig, ModelParams, forward, prepare, supervised_mask
+from .scene import Sample
 
 __all__ = [
     "CATEGORY_WEIGHTS",
@@ -143,8 +142,8 @@ class MetricReport:
 
 
 def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
-    """Predict every sample and aggregate displacement errors over the
-    supervised agents.
+    """Predict every sample (prepared, on detached parameters) and aggregate
+    displacement errors over the supervised agents.
 
     Category means average per-agent ADE/FDE; WSADE/WSFDE are reported when
     all three weighted categories occur, which is skipped for vehicle-only
@@ -156,10 +155,11 @@ def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
     all_ade, all_fde = [], []
     horizon_errs: dict = {}
     excluded = 0
+    detached = params.detached()
     for sample in samples:
-        centered = ego_center(sample)
-        adjacency = build_adjacency(centered, config.d_d, config.beta_degrees)
-        pred = forward(centered, config, params, adjacency).data
+        prepared = prepare(sample, config)
+        centered = prepared.sample
+        pred = forward(prepared, config, detached).data
         sup = supervised_mask(centered, config)
         errs = displacement_errors(pred, centered.future, centered.fut_mask)
         decodable = np.array([c in config.categories_decoded

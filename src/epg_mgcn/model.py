@@ -15,6 +15,7 @@ their enabled components need.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zipfile
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
+from . import graphs
 from .autograd import GRUParams, Tensor
 from .errors import DimensionError, FormatError, RoutingError, UsageError
 from .graphs import GRAPH_NAMES, AdjacencySet, build_adjacency, normalize_adjacency
@@ -39,6 +41,9 @@ __all__ = [
     "fuse_plan_features",
     "cs_gru_decode",
     "supervised_mask",
+    "PreparedSample",
+    "prepare",
+    "replan",
     "forward",
     "predict",
     "prediction_loss",
@@ -195,15 +200,6 @@ class ModelParams:
             for g in _GATES for w in ("w", "u", "b")
         })
 
-    def count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {
-            name: Tensor(t.data.copy(), requires_grad=True, name=name)
-            for name, t in self.tensors.items()
-        })
-
     def detached(self) -> "ModelParams":
         """The same arrays, not requiring gradients: a forward pass on them
         records no backward tape, so its intermediates are freed as it
@@ -224,8 +220,8 @@ class ModelParams:
 
 
 def _scenes(samples) -> list:
-    """A sample as a batch of one, or the batch as a list."""
-    return [samples] if isinstance(samples, Sample) else list(samples)
+    """A scene as a batch of one, or the batch as a list."""
+    return [samples] if isinstance(samples, (Sample, PreparedSample)) else list(samples)
 
 
 def embed_inputs(samples, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -387,61 +383,112 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     return ag.gather_rows(combined, inverse)
 
 
+@dataclass(frozen=True)
+class PreparedSample:
+    """One scene as network input: the ego-centered sample in the run's
+    dtype, its four raw graphs, and the column-normalized ``E + I`` of each
+    enabled graph (name -> (N, N) in that dtype)."""
+
+    sample: Sample
+    adjacency: AdjacencySet
+    normalized: dict
+
+
+def prepare(sample: Sample, config: ModelConfig,
+            dtype=np.float64) -> PreparedSample:
+    """Cast ``sample`` to ``dtype``, ego-center it in that dtype and build
+    and normalize its graphs. The one place a sample becomes network input:
+    build it once per sample per run, and ``forward`` normalizes nothing."""
+    centered = ego_center(dataclasses.replace(sample, **{
+        f: getattr(sample, f).astype(dtype)
+        for f in ("observed", "future", "ego_plan")}))
+    return _prepared(centered, build_adjacency(centered, config.d_d,
+                                               config.beta_degrees), config)
+
+
+def _prepared(centered: Sample, adjacency: AdjacencySet,
+              config: ModelConfig) -> PreparedSample:
+    dtype = centered.observed.dtype
+    return PreparedSample(centered, adjacency, {
+        g: normalize_adjacency(adjacency.get(g)).astype(dtype)
+        for g in config.branch_order})
+
+
+def replan(prepared: PreparedSample, ego_plan,
+           config: ModelConfig) -> PreparedSample:
+    """``prepared`` under another ego plan, given in its ego-centered frame.
+    Only the planning graph depends on the plan, so only it is re-made, raw
+    and normalized; the other graphs are shared with ``prepared``."""
+    dtype = prepared.sample.observed.dtype
+    sample = dataclasses.replace(prepared.sample,
+                                 ego_plan=np.asarray(ego_plan, dtype=dtype))
+    # looked up in ``graphs`` at call time, as ``build_adjacency`` does, so
+    # a wrapper installed there (the benchmark's tracer) sees every plan
+    planning = graphs.build_planning_graph(sample, config.beta_degrees)
+    normalized = dict(prepared.normalized)
+    if "planning" in normalized:
+        normalized["planning"] = normalize_adjacency(planning).astype(dtype)
+    return PreparedSample(sample, dataclasses.replace(
+        prepared.adjacency, planning=planning), normalized)
+
+
 def forward(samples, config: ModelConfig, params: ModelParams,
             adjacency=None) -> Tensor:
-    """Full network pass on one ego-centered sample or a batch of them.
-    Builds (or accepts precomputed, one ``AdjacencySet`` per sample)
-    adjacency, normalizes the enabled graphs, and returns predicted
-    trajectories (sum N, T_pred, 2) in each sample's frame, the agents of
-    the samples in order. A batch gives each scene the rows it would get on
-    its own, up to rounding."""
+    """Full network pass on one scene or a batch of them, returning the
+    predicted trajectories (sum N, T_pred, 2) in each scene's ego-centered
+    frame, the agents of the scenes in order. A scene is a
+    :class:`PreparedSample`, or an ego-centered ``Sample`` that is prepared
+    here in its own dtype from its raw ``AdjacencySet`` (one per sample,
+    built when not given). A batch gives each scene the rows it would get
+    on its own, up to rounding."""
     scenes = _scenes(samples)
     if not scenes:
         raise UsageError("forward() needs at least one sample")
-    for sample in scenes:
-        if sample.t_obs_points != config.t_obs_points:
-            raise DimensionError(
-                f"sample has {sample.t_obs_points} observed points, "
-                f"config expects {config.t_obs_points}"
-            )
-        if sample.t_pred != config.t_pred:
-            raise DimensionError(
-                f"sample has {sample.t_pred} future frames, "
-                f"config expects {config.t_pred}"
-            )
-    if adjacency is None:
-        adjacency = [build_adjacency(s, config.d_d, config.beta_degrees)
-                     for s in scenes]
-    elif isinstance(adjacency, AdjacencySet):
-        adjacency = [adjacency]
-    if len(adjacency) != len(scenes):
-        raise UsageError(f"{len(adjacency)} adjacency sets for "
-                         f"{len(scenes)} samples")
-    z = embed_inputs(scenes, params, config)
-    dtype = z.data.dtype
+    for scene in scenes:
+        sample = scene.sample if isinstance(scene, PreparedSample) else scene
+        for what, got, want in (
+                ("observed points", sample.t_obs_points, config.t_obs_points),
+                ("future frames", sample.t_pred, config.t_pred)):
+            if got != want:
+                raise DimensionError(
+                    f"sample has {got} {what}, config expects {want}")
+    if not all(isinstance(s, PreparedSample) for s in scenes):
+        if adjacency is None:
+            adjacency = [build_adjacency(s, config.d_d, config.beta_degrees)
+                         for s in scenes]
+        elif isinstance(adjacency, AdjacencySet):
+            adjacency = [adjacency]
+        if len(adjacency) != len(scenes):
+            raise UsageError(f"{len(adjacency)} adjacency sets for "
+                             f"{len(scenes)} samples")
+        scenes = [_prepared(s, a, config) for s, a in zip(scenes, adjacency)]
+    elif adjacency is not None:
+        raise UsageError("prepared scenes carry their own graphs")
+    samples = [p.sample for p in scenes]
+    z = embed_inputs(samples, params, config)
     branch_outputs = [
-        _branch(z, [normalize_adjacency(a.get(g)).astype(dtype) for a in adjacency],
-                params, g, config)
+        _branch(z, [p.normalized[g] for p in scenes], params, g, config)
         for g in config.branch_order
     ]
     f_graphs = fuse_graph_features(branch_outputs, params)
     plan_encoding = None
     if config.planning_fusion_enabled:
-        per_scene = encode_plan(np.stack([s.ego_plan for s in scenes], axis=1),
+        per_scene = encode_plan(np.stack([s.ego_plan for s in samples], axis=1),
                                 params, config)  # (S, C)
-        scene_of_agent = np.repeat(np.arange(len(scenes)),
-                                   [s.n_agents for s in scenes])
+        scene_of_agent = np.repeat(np.arange(len(samples)),
+                                   [s.n_agents for s in samples])
         plan_encoding = ag.gather_rows(per_scene, scene_of_agent)
     f_fusion = fuse_plan_features(f_graphs, plan_encoding, params, config)
-    return cs_gru_decode(f_fusion, scenes, params, config)
+    return cs_gru_decode(f_fusion, samples, params, config)
 
 
 def predict(sample: Sample, config: ModelConfig, params: ModelParams) -> np.ndarray:
-    """Ego-center, run the network, and return predictions as a plain array
-    in the sample's original frame."""
-    centered = ego_center(sample)
-    out = forward(centered, config, params)
-    return out.data + centered.origin
+    """Prepare the sample, run the network on detached parameters (nothing
+    takes a gradient here, so no tape is recorded), and return predictions
+    as a plain array in the sample's original frame."""
+    prepared = prepare(sample, config)
+    out = forward(prepared, config, params.detached())
+    return out.data + prepared.sample.origin
 
 
 def prediction_loss(predictions: Tensor, samples, config: ModelConfig):

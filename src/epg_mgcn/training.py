@@ -20,18 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError, NumericError, UsageError
+# unused: only the benchmark tracer patches it here (ROADMAP item 1)
 from .graphs import build_adjacency
 from .model import (
     Checkpoint,
     ModelConfig,
     ModelParams,
     forward,
+    prepare,
     prediction_loss,
     read_checkpoint,
     write_checkpoint,
 )
 from .optim import Adam
-from .scene import Sample, ego_center, validate_sample
+# ego_center is unused: only the benchmark tracer patches it here (ROADMAP item 1)
+from .scene import ego_center, validate_sample
 
 __all__ = [
     "TrainConfig",
@@ -142,14 +145,6 @@ class TrainResult:
     rng: np.random.Generator
 
 
-def _cast_sample(sample: Sample, dtype) -> Sample:
-    out = sample.copy()
-    out.observed = out.observed.astype(dtype)
-    out.future = out.future.astype(dtype)
-    out.ego_plan = out.ego_plan.astype(dtype)
-    return out
-
-
 def train(samples, model_config: ModelConfig, train_config: TrainConfig,
           *, resume=None, run_dir=None, checkpoint_every: int | None = None,
           progress=None) -> TrainResult:
@@ -157,12 +152,15 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
 
     ``resume`` continues from a trainer checkpoint (bitwise identical to the
     uninterrupted run); a train config recorded there must equal
-    ``train_config`` in every field but ``max_epochs``. With ``run_dir`` set,
-    a checkpoint and the run record land there at the end (and every
-    ``checkpoint_every`` epochs).
+    ``train_config`` in every field but ``max_epochs``, which may not fall
+    below the epochs the checkpoint has run. With ``run_dir`` set, a
+    checkpoint and the run record land there at the end (and every
+    ``checkpoint_every`` epochs, which must be at least 1).
     """
     if not samples:
         raise DataError("training dataset is empty")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise UsageError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     for s in samples:
         validate_sample(s)
 
@@ -171,6 +169,9 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         params, optimizer, rng, start_epoch, record = _restore(checkpoint, resume)
         if checkpoint.trainer.get("train_config") is not None:
             train_config.require_resumable(checkpoint.trainer["train_config"])
+        if train_config.max_epochs < start_epoch:
+            raise UsageError(f"max_epochs {train_config.max_epochs} is below the "
+                             f"{start_epoch} epochs the checkpoint has run")
     else:
         rng = np.random.default_rng(train_config.seed)
         params = ModelParams.initialize(
@@ -179,9 +180,7 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         start_epoch = 0
         record = RunRecord()
 
-    prepared = [ego_center(_cast_sample(s, train_config.dtype)) for s in samples]
-    adjacencies = [build_adjacency(s, model_config.d_d, model_config.beta_degrees)
-                   for s in prepared]
+    prepared = [prepare(s, model_config, train_config.dtype) for s in samples]
 
     run_dir = Path(run_dir) if run_dir is not None else None
     if run_dir is not None:
@@ -200,9 +199,9 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
                      f"(samples {', '.join(str(i) for i in batch)})")
             optimizer.zero_grad()
             scenes = [prepared[i] for i in batch]
-            out = forward(scenes, model_config, params,
-                          [adjacencies[i] for i in batch])
-            batch_loss, _ = prediction_loss(out, scenes, model_config)
+            out = forward(scenes, model_config, params)
+            batch_loss, _ = prediction_loss(out, [p.sample for p in scenes],
+                                            model_config)
             value = batch_loss.item()
             if not math.isfinite(value):
                 raise NumericError(f"non-finite loss {where}")
@@ -217,7 +216,7 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
                                   time.perf_counter() - t0))
         if progress is not None:
             progress(record.epochs[-1])
-        if (run_dir is not None and checkpoint_every
+        if (run_dir is not None and checkpoint_every is not None
                 and (epoch + 1) % checkpoint_every == 0):
             checkpoint_save(run_dir / "checkpoint.npz", params, optimizer,
                             rng, epoch + 1, record, train_config)

@@ -236,6 +236,16 @@ class TestInputErrors:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_checkpoint_every_below_one_is_usage_error(self, tmp_path,
+                                                       samples_file, capsys,
+                                                       every):
+        code = main(["train", "--data", str(samples_file), "--out-dir",
+                     str(tmp_path / "run"), "--quiet", "--checkpoint-every", every])
+        assert code == 2
+        assert f"checkpoint_every must be >= 1, got {every}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text, named", [
         ('{"swerve": [[0, 0]', "invalid JSON"),
         ("[[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]", "expected a JSON object"),

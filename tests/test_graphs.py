@@ -15,7 +15,6 @@ from epg_mgcn.graphs import (
     build_distance_graph,
     build_planning_graph,
     build_visibility_graph,
-    dump_adjacency,
     motion_directions,
     normalize_adjacency,
 )
@@ -358,11 +357,3 @@ class TestNormalization:
             out = normalize_adjacency(e)
             np.testing.assert_allclose(out.sum(axis=0), np.ones(n),
                                        atol=1e-12, rtol=0)
-
-
-def test_dump_adjacency_round_trip(tmp_path, rng):
-    m = rng.uniform(0, 3, size=(5, 5))
-    path = tmp_path / "adj.txt"
-    dump_adjacency(m, path)
-    loaded = np.loadtxt(path)
-    np.testing.assert_array_equal(loaded, m)

@@ -13,6 +13,7 @@ from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import Tensor
 from epg_mgcn.errors import FormatError, RoutingError, UsageError
 from epg_mgcn.gradcheck import finite_diff_check
+from epg_mgcn.metrics import evaluate
 from epg_mgcn.graphs import build_adjacency
 from epg_mgcn.model import (
     ModelConfig,
@@ -601,6 +602,22 @@ class TestDegenerateScenes:
         assert count == expected_count + sum(
             prediction_loss(forward(s, cfg, params), s, cfg)[1]
             for s in (scenes[0], scenes[2]))
+
+
+    @pytest.mark.parametrize("case", DEGENERATE_CASES)
+    def test_evaluate_counts_exclusions(self, case):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=9)
+        sample, frames = degenerate_scene(case)
+        decodable = sum(c in cfg.categories_decoded for c in sample.categories[1:])
+        supervised = frames // cfg.t_pred
+        report = evaluate([sample], cfg, params)
+        assert (report.agent_count, report.excluded_count) == (
+            supervised, decodable - supervised)
+        sample.fut_mask[1:, -1] = False  # no neighbor keeps its whole future
+        report = evaluate([sample], cfg, params)
+        assert (report.agent_count, report.excluded_count) == (0, decodable)
+        assert np.isfinite(report.overall_ade) and report.sample_count == 1
 
 
 class TestEndToEndGradient:

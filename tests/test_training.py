@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epg_mgcn import autograd as ag
-from epg_mgcn.errors import DataError, FormatError, NumericError
+from epg_mgcn.errors import DataError, FormatError, NumericError, UsageError
 from epg_mgcn.model import ModelConfig, ModelParams, load_params, save_params
 from epg_mgcn.synthetic import make_synthetic_dataset
 from epg_mgcn.training import (
@@ -283,6 +283,28 @@ class TestCheckpointResume:
         resumed = train(samples, small_model(), small_train(max_epochs=3),
                         resume=tmp_path / "checkpoint.npz")
         assert resumed.record.losses() == full.record.losses()
+
+    def test_resume_below_the_checkpoint_epochs_is_refused(self, tmp_path):
+        samples = make_synthetic_dataset(2)
+        train(samples, small_model(), small_train(max_epochs=3), run_dir=tmp_path)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(UsageError,
+                           match="max_epochs 1 is below the 3 epochs"):
+            train(samples, small_model(), small_train(max_epochs=1),
+                  resume=tmp_path / "checkpoint.npz", run_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+        again = train(samples, small_model(), small_train(max_epochs=3),
+                      resume=tmp_path / "checkpoint.npz")
+        assert len(again.record.epochs) == 3
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_every_below_one_is_refused(self, tmp_path, every):
+        with pytest.raises(UsageError, match=f"checkpoint_every must be >= 1, "
+                                             f"got {every}"):
+            train(make_synthetic_dataset(2), small_model(),
+                  small_train(max_epochs=2), run_dir=tmp_path / "run",
+                  checkpoint_every=every)
+        assert not (tmp_path / "run").exists()
 
     def test_records_must_be_contiguous(self):
         record = RunRecord()
