@@ -11,12 +11,14 @@ inputs give bitwise-identical outputs and gradients.
 No hardware acceleration: each primitive is one graph node with its own
 backward, checked against finite differences (``gradcheck``) and against a
 composed or loop oracle in the tests. Inside a primitive, the hot paths are
-lowered to BLAS matrix products (``temporal_conv`` via im2col,
-``channel_mix`` via ``tensordot``, ``gru_cell`` via one product for the
-three input projections and one for the two gate projections of the hidden
-state), because per-tap, per-element or per-gate graph nodes dominate the
-run time at the model's sizes. ``gru_cell`` is one node with a hand-written
-backward; its gate convention is the one in its docstring.
+lowered to BLAS matrix products (``temporal_conv`` on time-major (N, T, C)
+input via one product with every tap's kernel side by side plus shifted
+sums, ``channel_mix`` over the last axis via one 2-D product, ``gru_cell``
+via one product for the three input projections and one for the two gate
+projections of the hidden state), because per-tap, per-element or per-gate
+graph nodes dominate the run time at the model's sizes. ``gru_cell`` is one
+node with a hand-written backward; its gate convention is the one in its
+docstring.
 """
 
 from __future__ import annotations
@@ -103,8 +105,11 @@ class Tensor:
         return self.grad
 
     def _accumulate(self, g: np.ndarray) -> None:
-        self._grad_buffer()
-        self.grad += g
+        if self.grad is None:  # a copy of the first write, never a view of g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar, filling ``grad`` on reachable leaves.
@@ -499,52 +504,43 @@ def gather_rows(a, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """Unfold a padded (N, C_in, T + K - 1) input into the (N*T, C_in*K)
-    column matrix whose row ``n*T + t`` is the window ``xp[n, :, t:t+K]``,
-    flattened as ``i*K + j`` to match ``kernel.reshape(C_out, C_in*K)``."""
-    n, c_in, width = xp.shape
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    return windows.transpose(0, 2, 1, 3).reshape(n * (width - k + 1), c_in * k)
-
-
 def temporal_conv(x, kernel, bias=None) -> Tensor:
-    """Same-padded convolution over the trailing time axis.
+    """Same-padded convolution over the time axis of time-major features.
 
-    ``x`` has shape (N, C_in, T) and ``kernel`` (C_out, C_in, K) with K odd;
-    each of the N rows is convolved independently, zero padding K//2 frames on
-    each side so the time length is preserved.
+    ``x`` has shape (N, T, C_in) and ``kernel`` (C_out, C_in, K) with K odd;
+    each of the N rows is convolved independently, zero padding K//2 frames
+    on each side so the time length is preserved. Returns (N, T, C_out).
 
-    Lowered to im2col: the padded input is unfolded into an (N*T, C_in*K)
-    column matrix, so the forward pass is one matrix product with the
-    kernel flattened to (C_out, C_in*K). Backward is two more: the kernel
-    gradient is ``g^T @ cols`` and the column gradient ``g @ kernel`` is
-    folded back over the K taps onto the padded input, then cropped. The
-    backward closure keeps only the padded input and rebuilds the columns
-    when it runs: holding the K-times-larger column matrix of every
-    convolution in the graph until backward raises peak memory in training
-    for no gain in speed.
+    Lowered to one matrix product and K shifted sums: ``x`` as (N*T, C_in)
+    times the kernel as ``Wcat`` (C_in, K*C_out) gives every tap at every
+    frame, and tap j's output is added s = j - K//2 frames earlier, dropping
+    what would come from the padding. Backward shifts ``g`` the other way
+    into the (N*T, K*C_out) tap gradient and takes two products with it.
+    The closure keeps only ``x``; ``Wcat`` is rebuilt when backward runs.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 3 or kernel.ndim != 3 or x.shape[2] == 0:
+    if (x.ndim != 3 or kernel.ndim != 3 or x.shape[1] == 0
+            or kernel.shape[1] != x.shape[2] or kernel.shape[2] % 2 != 1):
         raise DimensionError(
-            f"temporal_conv expects x (N,C,T) with T >= 1 and kernel "
-            f"(C_out,C_in,K), got {x.shape} and {kernel.shape}"
+            f"temporal_conv expects x (N,T,C) with T >= 1 and kernel "
+            f"(C_out,C,K) with the same channel count C and K odd, got "
+            f"{x.shape} and {kernel.shape}"
         )
-    n, c_in, t = x.shape
-    c_out, k_in, k = kernel.shape
-    if k_in != c_in:
-        raise DimensionError(
-            f"temporal_conv: channel mismatch: input has {c_in}, kernel expects {k_in}"
-        )
-    if k % 2 != 1:
-        raise DimensionError(f"temporal_conv: kernel width must be odd, got {k}")
+    n, t, c_in = x.shape
+    c_out, _, k = kernel.shape
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    w2 = kernel.data.reshape(c_out, c_in * k)
-    # (N*T, C_out) -> (N, C_out, T), contiguous and in the input's dtype
-    out_data = (_im2col(xp, k) @ w2.T).reshape(n, t, c_out).transpose(0, 2, 1)
-    out_data = out_data.astype(x.data.dtype, order="C")
+    # tap j adds input frames [lo + s, hi + s) onto output frames [lo, hi)
+    taps = [(j, max(0, pad - j), min(t, t + pad - j)) for j in range(k)]
+    taps = [(j, lo, hi, j - pad) for j, lo, hi in taps if lo < hi]
+
+    def w_cat():  # (C_in, K*C_out): column j*C_out + o is kernel[o, :, j]
+        return kernel.data.transpose(1, 2, 0).reshape(c_in, k * c_out)
+
+    taps_out = (x.data.reshape(n * t, c_in) @ w_cat()).reshape(n, t, k, c_out)
+    out_data = taps_out[:, :, pad].astype(x.data.dtype, order="C")
+    for j, lo, hi, s in taps:
+        if j != pad:
+            out_data[:, lo:hi] += taps_out[:, lo + s : hi + s, j]
     parents = [x, kernel]
     if bias is not None:
         bias = as_tensor(bias)
@@ -552,32 +548,32 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
             raise DimensionError(
                 f"temporal_conv: bias shape {bias.shape} != ({c_out},)"
             )
-        out_data = out_data + bias.data[None, :, None]
+        out_data += bias.data
         parents.append(bias)
 
     def backward(g):
-        g2 = g.transpose(0, 2, 1).reshape(n * t, c_out)
+        g_taps = np.zeros((n, t, k, c_out), dtype=g.dtype)
+        for j, lo, hi, s in taps:
+            g_taps[:, lo + s : hi + s, j] = g[:, lo:hi]
+        g_taps = g_taps.reshape(n * t, k * c_out)
         if x.requires_grad:
-            gcols = (g2 @ kernel.data.reshape(c_out, c_in * k)).reshape(n, t, c_in, k)
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[:, :, j : j + t] += gcols[:, :, :, j].transpose(0, 2, 1)
-            x._accumulate(gxp[:, :, pad : pad + t])
+            x._accumulate((g_taps @ w_cat().T).reshape(n, t, c_in))
         if kernel.requires_grad:
-            gk = g2.T @ _im2col(xp, k)
-            kernel._accumulate(gk.reshape(c_out, c_in, k))
+            gw = x.data.reshape(n * t, c_in).T @ g_taps
+            kernel._accumulate(gw.reshape(c_in, k, c_out).transpose(2, 0, 1))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
+            bias._accumulate(g.sum(axis=(0, 1)))
 
     return _make(out_data, parents, backward)
 
 
-def channel_mix(x, weight, bias=None, axis: int = 0) -> Tensor:
+def channel_mix(x, weight, bias=None, axis: int = -1) -> Tensor:
     """Per-position linear map across one axis (a 1x1 convolution).
 
     ``weight`` has shape (C_out, C_in) where C_in is the size of ``axis`` in
     ``x``; every other position is mapped independently. Used for coordinate
-    embedding, graph-stack fusion, and plan/feature fusion.
+    embedding, spatial mixing and the decoders (over the last axis, where
+    it is one 2-D product ``x @ W^T``) and the two fusions (over axis 0).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.ndim != 2:
@@ -589,27 +585,26 @@ def channel_mix(x, weight, bias=None, axis: int = 0) -> Tensor:
             f"channel_mix: axis {axis} of input has size {x.shape[axis]}, "
             f"weight expects {c_in}"
         )
-    xm = np.moveaxis(x.data, axis, 0)  # (C_in, ...)
-    out_m = np.tensordot(weight.data, xm, axes=1)  # (C_out, ...)
+    out_m = np.tensordot(x.data, weight.data, ([axis], [1]))  # (..., C_out)
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise DimensionError(f"channel_mix: bias shape {bias.shape} != ({c_out},)")
-        out_m = out_m + bias.data.reshape((c_out,) + (1,) * (out_m.ndim - 1))
+        out_m += bias.data
         parents.append(bias)
-    out_data = np.moveaxis(out_m, 0, axis)
-    rest = tuple(range(1, xm.ndim))
+    out_data = np.moveaxis(out_m, -1, axis)
 
     def backward(g):
-        gm = np.moveaxis(g, axis, 0)
+        g2 = np.moveaxis(g, axis, -1).reshape(-1, c_out)
         if weight.requires_grad:
-            weight._accumulate(np.tensordot(gm, xm, axes=(rest, rest)))
+            x2 = np.moveaxis(x.data, axis, -1).reshape(-1, c_in)
+            weight._accumulate(g2.T @ x2)
         if x.requires_grad:
-            gx_m = np.tensordot(weight.data.T, gm, axes=1)
-            x._accumulate(np.moveaxis(gx_m, 0, axis))
+            gx = np.tensordot(g, weight.data, ([axis], [0]))  # (..., C_in)
+            x._accumulate(np.moveaxis(gx, -1, axis))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(gm.sum(axis=rest))
+            bias._accumulate(g2.sum(axis=0))
 
     return _make(out_data, parents, backward)
 

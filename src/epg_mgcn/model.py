@@ -6,7 +6,7 @@ mixing with the column-normalized adjacency, then a same-padded 3-tap
 temporal convolution), fused across branches with a 1x1 convolution, fused
 again with the encoded ego plan, and decoded per category by GRU
 encoder-decoder pairs that emit per-step displacements accumulated onto each
-agent's last observed position.
+agent's last observed position. Features are time-major, (N, T, C).
 
 Parameters live in a flat, deterministically ordered name -> Tensor registry
 (:class:`ModelParams`); ablation configurations register only the tensors
@@ -225,31 +225,32 @@ def _scenes(samples) -> list:
 
 
 def embed_inputs(samples, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Lift observed 2-D coordinates to C channels. Masked frames produce
-    zero feature columns. Returns (sum N, C, T_obs_points)."""
+    """Lift observed 2-D coordinates to C channels, time-major like the
+    observations. Masked frames produce zero feature rows. Returns
+    (sum N, T_obs_points, C)."""
     scenes = _scenes(samples)
     observed = np.concatenate([s.observed for s in scenes])
     mask = np.concatenate([s.obs_mask for s in scenes])
     feats = ag.channel_mix(Tensor(observed),
-                           params["embed.weight"], params["embed.bias"], axis=2)
-    feats = ag.mul(feats, mask[:, :, None].astype(observed.dtype))
-    return ag.transpose(feats, (0, 2, 1))  # (N, T, C) -> (N, C, T)
+                           params["embed.weight"], params["embed.bias"])
+    return ag.mul(feats, mask[:, :, None].astype(observed.dtype))
 
 
 def graph_conv_block(z: Tensor, norm_adj, spatial_weight: Tensor,
                      temporal_kernel: Tensor) -> Tensor:
-    """One block: per-frame spatial mixing with the normalized adjacency and
-    the learnable channel map, ReLU, then a same-padded temporal convolution.
-    Neither step carries a bias, so zero features stay zero.
+    """One block on time-major features ``z`` (N, T, C): per-frame spatial
+    mixing with the normalized adjacency and the learnable channel map,
+    ReLU, then a same-padded temporal convolution. Neither step carries a
+    bias, so zero features stay zero. Returns (N, T, C).
 
     ``norm_adj`` is one scene's (N, N) matrix, or a sequence with one matrix
     per scene of a batch: a block-diagonal mixing that never couples
     agents of different scenes."""
-    n, c, t = z.shape
+    n, t, c = z.shape
     blocks = [norm_adj] if isinstance(norm_adj, np.ndarray) else norm_adj
-    mixed = ag.reshape(ag.block_matmul(blocks, ag.reshape(z, (n, c * t))),
-                       (n, c, t))
-    lifted = ag.channel_mix(mixed, spatial_weight, axis=1)
+    mixed = ag.reshape(ag.block_matmul(blocks, ag.reshape(z, (n, t * c))),
+                       (n, t, c))
+    lifted = ag.channel_mix(mixed, spatial_weight)
     return ag.temporal_conv(ag.relu(lifted), temporal_kernel)
 
 
@@ -268,7 +269,7 @@ def _branch(z: Tensor, norm_adj, params: ModelParams,
 def fuse_graph_features(branch_outputs, params: ModelParams) -> Tensor:
     """Stack the enabled branches and mix them down with a 1x1 convolution
     plus ReLU. Stack depth equals the number of enabled graphs."""
-    stacked = ag.stack(branch_outputs, axis=0)  # (S, N, C, T)
+    stacked = ag.stack(branch_outputs, axis=0)  # (S, N, T, C)
     mixed = ag.channel_mix(stacked, params["graph_fusion.weight"],
                            params["graph_fusion.bias"], axis=0)
     return ag.relu(ag.reshape(mixed, stacked.shape[1:]))
@@ -282,7 +283,7 @@ def encode_plan(ego_plan: np.ndarray, params: ModelParams,
     S rows of one scan and give (S, C)."""
     embedded = ag.channel_mix(Tensor(np.asarray(ego_plan)),
                               params["plan.embed.weight"],
-                              params["plan.embed.bias"], axis=-1)  # (T, [S,] C)
+                              params["plan.embed.bias"])  # (T, [S,] C)
     gru = params.gru("plan.gru")
     h = Tensor(np.zeros(embedded.shape[1:-1] + (config.channels,),
                         dtype=embedded.data.dtype))
@@ -300,12 +301,12 @@ def fuse_plan_features(f_graphs: Tensor, plan_encoding,
     parameters)."""
     if not config.planning_fusion_enabled:
         return ag.relu(f_graphs)
-    n, c, t = f_graphs.shape
-    tiled = ag.broadcast_to(ag.reshape(plan_encoding, (-1, c, 1)), (n, c, t))
-    stacked = ag.stack([f_graphs, tiled], axis=0)  # (2, N, C, T)
+    n, t, c = f_graphs.shape
+    tiled = ag.broadcast_to(ag.reshape(plan_encoding, (-1, 1, c)), (n, t, c))
+    stacked = ag.stack([f_graphs, tiled], axis=0)  # (2, N, T, C)
     mixed = ag.channel_mix(stacked, params["plan_fusion.weight"],
                            params["plan_fusion.bias"], axis=0)
-    return ag.relu(ag.reshape(mixed, (n, c, t)))
+    return ag.relu(ag.reshape(mixed, (n, t, c)))
 
 
 def supervised_mask(sample: Sample, config: ModelConfig) -> np.ndarray:
@@ -354,20 +355,20 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     blocks = []
     for key in sorted(groups):
         idx = groups[key]
-        f_in = ag.gather_rows(f_fusion, idx)  # (B, C, T)
+        f_in = ag.gather_rows(f_fusion, idx)  # (B, T, C)
         enc = params.gru(f"decoder.{key}.enc")
         dec = params.gru(f"decoder.{key}.dec")
         h = Tensor(np.zeros((len(idx), config.channels), dtype=f_in.data.dtype))
-        for t in range(f_in.shape[2]):
-            h = ag.gru_cell(f_in[:, :, t], h, enc)
+        for t in range(f_in.shape[1]):
+            h = ag.gru_cell(f_in[:, t], h, enc)
         pos = Tensor(current[idx])  # (B, 2)
         steps = []
         for _ in range(config.t_pred):
             inp = ag.channel_mix(pos, params[f"decoder.{key}.pos_embed.weight"],
-                                 params[f"decoder.{key}.pos_embed.bias"], axis=1)
+                                 params[f"decoder.{key}.pos_embed.bias"])
             h = ag.gru_cell(inp, h, dec)
             delta = ag.channel_mix(h, params[f"decoder.{key}.out.weight"],
-                                   params[f"decoder.{key}.out.bias"], axis=1)
+                                   params[f"decoder.{key}.out.bias"])
             pos = ag.add(pos, delta)
             steps.append(pos)
         blocks.append(ag.transpose(ag.stack(steps, axis=0), (1, 0, 2)))

@@ -139,7 +139,7 @@ class TestBlockMatmul:
 class TestTemporalConv:
     def test_center_tap_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 5))
+        x = rng.normal(size=(2, 5, 3))
         kernel = np.zeros((3, 3, 3))
         for c in range(3):
             kernel[c, c, 1] = 1.0  # center tap, identity channel map
@@ -147,7 +147,7 @@ class TestTemporalConv:
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_box_kernel_hand_sum(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3))
+        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))
         kernel = Tensor(np.ones((1, 1, 3)))
         out = ag.temporal_conv(x, kernel)
         np.testing.assert_allclose(out.data.ravel(), [3.0, 6.0, 5.0], atol=1e-15)
@@ -155,34 +155,38 @@ class TestTemporalConv:
     def test_against_sliding_window_oracle(self):
         rng = np.random.default_rng(5)
         n, ci, co, t, k = 3, 2, 4, 7, 3
-        x = rng.normal(size=(n, ci, t))
+        x = rng.normal(size=(n, t, ci))
         kernel = rng.normal(size=(co, ci, k))
         bias = rng.normal(size=co)
         pad = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        expected = np.zeros((n, co, t))
+        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+        expected = np.zeros((n, t, co))
         for b in range(n):
             for o in range(co):
                 for tt in range(t):
                     acc = bias[o]
                     for i in range(ci):
                         for j in range(k):
-                            acc += kernel[o, i, j] * xp[b, i, tt + j]
-                    expected[b, o, tt] = acc
+                            acc += kernel[o, i, j] * xp[b, tt + j, i]
+                    expected[b, tt, o] = acc
         out = ag.temporal_conv(Tensor(x), Tensor(kernel), Tensor(bias))
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
 
     def test_channel_mismatch(self):
-        with pytest.raises(DimensionError, match="channel"):
-            ag.temporal_conv(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((3, 5, 3))))
+        with pytest.raises(DimensionError, match=r"\(N,T,C\).*channel.*\(1, 4, 2\)"):
+            ag.temporal_conv(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((3, 5, 3))))
 
     def test_empty_time_axis_names_shape(self):
-        with pytest.raises(DimensionError, match=r"T >= 1.*\(2, 3, 0\)"):
-            ag.temporal_conv(Tensor(np.zeros((2, 3, 0))), Tensor(np.zeros((4, 3, 3))))
+        with pytest.raises(DimensionError, match=r"\(N,T,C\) with T >= 1.*\(2, 0, 3\)"):
+            ag.temporal_conv(Tensor(np.zeros((2, 0, 3))), Tensor(np.zeros((4, 3, 3))))
+
+    def test_even_kernel_width(self):
+        with pytest.raises(DimensionError, match=r"\(N,T,C\).*K odd.*\(2, 4, 3\)"):
+            ag.temporal_conv(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((4, 3, 2))))
 
     def test_gradients(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         kernel = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         bias = Tensor(rng.normal(size=4), requires_grad=True)
         loss = lambda: ag.tsum(
@@ -193,27 +197,121 @@ class TestTemporalConv:
                                    epsilon=1e-6, tolerance=1e-7)
         assert report.passed, report.summary()
 
+    def test_backward_closure_holds_no_column_sized_array(self):
+        rng = np.random.default_rng(4)
+        n, t, c, k = 5, 6, 8, 3
+        x = Tensor(rng.normal(size=(n, t, c)), requires_grad=True)
+        kernel = Tensor(rng.normal(size=(c, c, k)), requires_grad=True)
+        out = ag.temporal_conv(x, kernel)
+        arrays = held_arrays(out._backward)
+        assert any(a is x.data for a in arrays)
+        shapes = [a.shape for a in arrays]
+        assert all(a.size < n * t * k * c for a in arrays), shapes
+        assert (n, t + k - 1, c) not in shapes, shapes
+
+
+def held_arrays(fn) -> list:
+    """Every numpy array a closure keeps alive: cell contents, the data of
+    Tensors, and what lists, tuples and nested closures hold."""
+    found, seen = [], set()
+
+    def visit(v):
+        if id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, Tensor):
+            visit(v.data)
+        elif isinstance(v, (list, tuple)):
+            for item in v:
+                visit(item)
+        elif callable(v) and getattr(v, "__closure__", None):
+            for cell in v.__closure__:
+                visit(cell.cell_contents)
+
+    visit(fn)
+    return found
+
+
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """Unfold a padded (N, C_in, T + K - 1) input into the (N*T, C_in*K)
+    column matrix whose row ``n*T + t`` is the window ``xp[n, :, t:t+K]``,
+    flattened as ``i*K + j`` to match ``kernel.reshape(C_out, C_in*K)``."""
+    n, c_in, width = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    return windows.transpose(0, 2, 1, 3).reshape(n * (width - k + 1), c_in * k)
+
+
+def im2col_temporal_conv(x, kernel, bias=None) -> Tensor:
+    """Oracle: the channel-major im2col convolution that the time-major
+    ``temporal_conv`` replaced, one graph node on ``x`` (N, C_in, T) giving
+    (N, C_out, T). Forward is one product of the unfolded padded input with
+    the kernel as (C_out, C_in*K); backward folds ``g @ kernel`` back over
+    the K taps and takes the kernel gradient as ``g^T @ cols``."""
+    x, kernel = ag.as_tensor(x), ag.as_tensor(kernel)
+    n, c_in, t = x.shape
+    c_out, _, k = kernel.shape
+    pad = k // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
+    w2 = kernel.data.reshape(c_out, c_in * k)
+    out_data = (_im2col(xp, k) @ w2.T).reshape(n, t, c_out).transpose(0, 2, 1)
+    out_data = out_data.astype(x.data.dtype, order="C")
+    parents = [x, kernel]
+    if bias is not None:
+        bias = ag.as_tensor(bias)
+        out_data = out_data + bias.data[None, :, None]
+        parents.append(bias)
+
+    def backward(g):
+        g2 = g.transpose(0, 2, 1).reshape(n * t, c_out)
+        if x.requires_grad:
+            gcols = (g2 @ w2).reshape(n, t, c_in, k)
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[:, :, j : j + t] += gcols[:, :, :, j].transpose(0, 2, 1)
+            x._accumulate(gxp[:, :, pad : pad + t])
+        if kernel.requires_grad:
+            gk = g2.T @ _im2col(xp, k)
+            kernel._accumulate(gk.reshape(c_out, c_in, k))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2)))
+
+    return ag._make(out_data, parents, backward)
+
 
 def per_tap_temporal_conv(x, kernel, bias, g):
     """Oracle: the per-tap einsum formulation of the same-padded temporal
-    convolution. Returns the output and the gradients of sum(out * g) with
-    respect to x, kernel and bias."""
-    n, _, t = x.shape
+    convolution on time-major (N, T, C) arrays. Returns the output and the
+    gradients of sum(out * g) with respect to x, kernel and bias."""
+    n, t, _ = x.shape
     c_out, _, k = kernel.shape
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    out = np.zeros((n, c_out, t), dtype=x.dtype)
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    out = np.zeros((n, t, c_out), dtype=x.dtype)
     for j in range(k):
-        out += np.einsum("oi,nit->not", kernel[:, :, j], xp[:, :, j : j + t])
+        out += np.einsum("oi,nti->nto", kernel[:, :, j], xp[:, j : j + t])
     if bias is not None:
-        out = out + bias[None, :, None]
+        out = out + bias
     gxp = np.zeros_like(xp)
     gk = np.zeros_like(kernel)
     for j in range(k):
-        gxp[:, :, j : j + t] += np.einsum("oi,not->nit", kernel[:, :, j], g)
-        gk[:, :, j] = np.einsum("not,nit->oi", g, xp[:, :, j : j + t])
-    gb = None if bias is None else g.sum(axis=(0, 2))
-    return out, gxp[:, :, pad : pad + t], gk, gb
+        gxp[:, j : j + t] += np.einsum("oi,nto->nti", kernel[:, :, j], g)
+        gk[:, :, j] = np.einsum("nto,nti->oi", g, xp[:, j : j + t])
+    gb = None if bias is None else g.sum(axis=(0, 1))
+    return out, gxp[:, pad : pad + t], gk, gb
+
+
+def channel_major_oracle(x, kernel, bias, g):
+    """``im2col_temporal_conv`` on the (N, C, T) transposes of time-major
+    arrays; the output and the gradients of sum(out * g), back in (N, T, C)."""
+    xt = Tensor(x.transpose(0, 2, 1).copy(), requires_grad=True)
+    kt = Tensor(kernel, requires_grad=True)
+    bt = None if bias is None else Tensor(bias, requires_grad=True)
+    out = im2col_temporal_conv(xt, kt, bt)
+    ag.tsum(ag.mul(out, g.transpose(0, 2, 1))).backward()
+    return (out.data.transpose(0, 2, 1), xt.grad.transpose(0, 2, 1), kt.grad,
+            None if bias is None else bt.grad)
 
 
 def max_relative_error(actual, expected):
@@ -222,23 +320,26 @@ def max_relative_error(actual, expected):
 
 
 class TestTemporalConvMatchesPerTapOracle:
-    """The im2col lowering against the per-tap einsum path it replaced."""
+    """The time-major tap-product lowering against the per-tap einsum
+    path; the subclass below repeats every case against the channel-major
+    im2col node that this lowering replaced."""
 
-    @staticmethod
-    def run_both(shape, with_bias, dtype):
+    oracle = staticmethod(per_tap_temporal_conv)
+
+    def run_both(self, shape, with_bias, dtype):
         n, c_in, c_out, t, k = shape
         rng = np.random.default_rng(sum(shape) + with_bias)
-        x = rng.normal(size=(n, c_in, t)).astype(dtype)
+        x = rng.normal(size=(n, t, c_in)).astype(dtype)
         kernel = rng.normal(size=(c_out, c_in, k)).astype(dtype)
         bias = rng.normal(size=c_out).astype(dtype) if with_bias else None
-        g = rng.normal(size=(n, c_out, t)).astype(dtype)
+        g = rng.normal(size=(n, t, c_out)).astype(dtype)
         xt = Tensor(x, requires_grad=True)
         kt = Tensor(kernel, requires_grad=True)
         bt = Tensor(bias, requires_grad=True) if with_bias else None
         out = ag.temporal_conv(xt, kt, bt)
         ag.tsum(ag.mul(out, g)).backward()
         actual = (out.data, xt.grad, kt.grad, bt.grad if with_bias else None)
-        return actual, per_tap_temporal_conv(x, kernel, bias, g)
+        return actual, self.oracle(x, kernel, bias, g)
 
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("shape", [
@@ -249,6 +350,7 @@ class TestTemporalConvMatchesPerTapOracle:
         (3, 2, 4, 7, 1),
         (3, 2, 4, 7, 5),
         (2, 3, 4, 2, 5),  # T < K: every window overlaps the padding
+        (2, 3, 4, 2, 7),  # taps that see only padding
     ])
     def test_float64_within_1e12(self, shape, with_bias):
         actual, expected = self.run_both(shape, with_bias, np.float64)
@@ -270,6 +372,10 @@ class TestTemporalConvMatchesPerTapOracle:
             assert max_relative_error(a, e) <= 1e-5
 
 
+class TestTemporalConvMatchesIm2colOracle(TestTemporalConvMatchesPerTapOracle):
+    oracle = staticmethod(channel_major_oracle)
+
+
 class TestChannelMix:
     def test_identity_weights_stack_of_one(self):
         rng = np.random.default_rng(1)
@@ -287,30 +393,30 @@ class TestChannelMix:
 
     def test_against_per_position_oracle(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 2, 5))
+        x = rng.normal(size=(3, 5, 2))
         w = rng.normal(size=(6, 2))
         b = rng.normal(size=6)
-        out = ag.channel_mix(Tensor(x), Tensor(w), Tensor(b), axis=1)
-        expected = np.zeros((3, 6, 5))
+        out = ag.channel_mix(Tensor(x), Tensor(w), Tensor(b), axis=-1)
+        expected = np.zeros((3, 5, 6))
         for n in range(3):
             for o in range(6):
                 for t in range(5):
-                    expected[n, o, t] = b[o] + sum(
-                        w[o, i] * x[n, i, t] for i in range(2)
+                    expected[n, t, o] = b[o] + sum(
+                        w[o, i] * x[n, t, i] for i in range(2)
                     )
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError, match="channel_mix"):
-            ag.channel_mix(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 5))), axis=1)
+            ag.channel_mix(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 5))), axis=-1)
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
         loss = lambda: ag.tsum(
-            ag.mul(ag.channel_mix(x, w, b, axis=1), ag.channel_mix(x, w, b, axis=1))
+            ag.mul(ag.channel_mix(x, w, b, axis=-1), ag.channel_mix(x, w, b, axis=-1))
         )
         report = finite_diff_check(loss, {"x": x, "w": w, "b": b},
                                    epsilon=1e-6, tolerance=1e-7)
@@ -603,14 +709,14 @@ class TestChainAndDeterminism:
     def test_randomized_primitive_gradients(self):
         # every primitive in one composite graph, against central differences
         rng = np.random.default_rng(31)
-        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
         kernel = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
         def loss():
             a = ag.temporal_conv(x, kernel)
-            b = ag.channel_mix(a, w, axis=1)
-            c = ag.transpose(b, (0, 2, 1))
+            b = ag.channel_mix(a, w, axis=-1)
+            c = ag.transpose(b, (1, 0, 2))
             d = ag.reshape(c, (12, 4))
             e = ag.gather_rows(d, [0, 5, 5, 11])
             return ag.tmean(ag.mul(ag.tanh(e), ag.sigmoid(e)))
@@ -618,6 +724,25 @@ class TestChainAndDeterminism:
         report = finite_diff_check(loss, {"x": x, "kernel": kernel, "w": w},
                                    epsilon=1e-6, tolerance=1e-6)
         assert report.passed, report.summary()
+
+
+class TestAccumulate:
+    def test_first_write_is_a_copy_of_the_upstream_array(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        root = ag.reshape(x, ())  # x's gradient arrives as a view of root's
+        root.backward()
+        root.grad[...] = 5.0  # root keeps its gradient; mutate it
+        np.testing.assert_array_equal(x.grad, [1.0])
+        assert not np.shares_memory(x.grad, root.grad)
+
+    def test_node_backward_does_not_alias_g(self):
+        x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        out = ag.transpose(x, (1, 0))
+        g = np.arange(6.0).reshape(3, 2)
+        out._backward(g)
+        g[...] = -1.0
+        np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T)
+        assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
 
 
 class TestBackwardConsumesGraph:

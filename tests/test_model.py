@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import golden_model
 from conftest import make_sample, random_scene
 from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import Tensor
@@ -74,7 +75,7 @@ class TestEmbedInputs:
         cfg = ModelConfig(channels=8, t_obs_points=6, t_pred=3)
         params = ModelParams.initialize(cfg, seed=1)
         s = tiny_sample(rng, n=3, t_obs=6)
-        assert embed_inputs(s, params, cfg).shape == (3, 8, 6)
+        assert embed_inputs(s, params, cfg).shape == (3, 6, 8)
 
     def test_linearity_with_zero_bias(self, rng):
         cfg = tiny_config()
@@ -93,13 +94,13 @@ class TestEmbedInputs:
         s = tiny_sample(rng)
         s.obs_mask[1, 0] = False
         out = embed_inputs(s, params, cfg)
-        np.testing.assert_array_equal(out.data[1, :, 0], 0.0)
+        np.testing.assert_array_equal(out.data[1, 0, :], 0.0)
 
 
 class TestGraphConvBlock:
     def test_identity_everything_gives_relu(self, rng):
         c = 3
-        z = Tensor(rng.normal(size=(2, c, 4)))
+        z = Tensor(rng.normal(size=(2, 4, c)))
         w = Tensor(np.eye(c))
         kernel = np.zeros((c, c, 3))
         for i in range(c):
@@ -109,7 +110,7 @@ class TestGraphConvBlock:
 
     def test_zero_in_zero_out(self, rng):
         c = 3
-        z = Tensor(np.zeros((2, c, 4)))
+        z = Tensor(np.zeros((2, 4, c)))
         w = Tensor(rng.normal(size=(c, c)))
         kernel = Tensor(rng.normal(size=(c, c, 3)))
         out = graph_conv_block(z, np.eye(2) * 0.5 + 0.25, w, kernel)
@@ -118,15 +119,15 @@ class TestGraphConvBlock:
     def test_single_frame_hand_example(self, rng):
         # N=2, one frame: temporal conv reduces to its center tap
         c = 2
-        z_np = rng.normal(size=(2, c, 1))
+        z_np = rng.normal(size=(2, 1, c))
         adj = np.array([[0.6, 0.3], [0.4, 0.7]])
         w_np = rng.normal(size=(c, c))
         kernel_np = rng.normal(size=(c, c, 3))
         out = graph_conv_block(Tensor(z_np), adj, Tensor(w_np), Tensor(kernel_np))
-        spatial = adj @ z_np[:, :, 0]           # (N, C)
+        spatial = adj @ z_np[:, 0, :]           # (N, C)
         act = np.maximum(spatial @ w_np.T, 0)   # channel_mix applies W rows
         hand = act @ kernel_np[:, :, 1].T       # center tap only
-        np.testing.assert_allclose(out.data[:, :, 0], hand, atol=1e-12)
+        np.testing.assert_allclose(out.data[:, 0, :], hand, atol=1e-12)
 
 
 class TestFuseGraphFeatures:
@@ -194,7 +195,7 @@ class TestFusePlanFeatures:
         params = ModelParams.initialize(cfg, seed=10)
         params["plan_fusion.weight"].data[:] = [[1.0, 0.0]]
         params["plan_fusion.bias"].data[:] = 0.0
-        f = Tensor(rng.normal(size=(3, 4, 5)))
+        f = Tensor(rng.normal(size=(3, 5, 4)))
         enc = Tensor(rng.normal(size=4))
         out = fuse_plan_features(f, enc, params, cfg)
         np.testing.assert_allclose(out.data, np.maximum(f.data, 0), atol=1e-15)
@@ -204,23 +205,23 @@ class TestFusePlanFeatures:
         params = ModelParams.initialize(cfg, seed=11)
         params["plan_fusion.weight"].data[:] = [[0.0, 1.0]]
         params["plan_fusion.bias"].data[:] = 0.0
-        f = Tensor(rng.normal(size=(3, 4, 5)))
+        f = Tensor(rng.normal(size=(3, 5, 4)))
         enc = Tensor(rng.normal(size=4))
         out = fuse_plan_features(f, enc, params, cfg)
         expected = np.maximum(enc.data, 0)
         for n in range(3):
             for t in range(5):
-                np.testing.assert_allclose(out.data[n, :, t], expected, atol=1e-15)
+                np.testing.assert_allclose(out.data[n, t, :], expected, atol=1e-15)
 
     def test_against_broadcast_and_mix_oracle(self, rng):
         cfg = tiny_config()
         params = ModelParams.initialize(cfg, seed=12)
-        f = rng.normal(size=(3, 4, 5))
+        f = rng.normal(size=(3, 5, 4))
         enc = rng.normal(size=4)
         out = fuse_plan_features(Tensor(f), Tensor(enc), params, cfg)
         w = params["plan_fusion.weight"].data[0]
         b = params["plan_fusion.bias"].data[0]
-        expected = np.maximum(w[0] * f + w[1] * enc[None, :, None] + b, 0)
+        expected = np.maximum(w[0] * f + w[1] * enc[None, None, :] + b, 0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_disabled_is_parameter_free_relu(self, rng):
@@ -240,7 +241,7 @@ class TestDecode:
             if name.startswith("decoder."):
                 params[name].data[:] = 0.0
         s = tiny_sample(rng)
-        f = Tensor(rng.normal(size=(s.n_agents, cfg.channels, cfg.t_obs_points)))
+        f = Tensor(rng.normal(size=(s.n_agents, cfg.t_obs_points, cfg.channels)))
         out = cs_gru_decode(f, s, params, cfg)
         assert out.shape == (s.n_agents, cfg.t_pred, 2)
         for i in range(s.n_agents):
@@ -252,12 +253,12 @@ class TestDecode:
                           categories_decoded=("vehicle",))
         params = ModelParams.initialize(cfg, seed=15)
         s = make_sample(rng.normal(size=(1, 3, 2)), ["vehicle"], t_pred=2)
-        f_np = rng.normal(size=(1, 4, 3))
+        f_np = rng.normal(size=(1, 3, 4))
         out = cs_gru_decode(Tensor(f_np), s, params, cfg)
 
         h = np.zeros(4)
         for t in range(3):
-            h = np_gru(f_np[0, :, t], h, None, "decoder.vehicle.enc", params)
+            h = np_gru(f_np[0, t, :], h, None, "decoder.vehicle.enc", params)
         pos = s.observed[0, -1].copy()
         expected = []
         pe_w = params["decoder.vehicle.pos_embed.weight"].data
@@ -276,7 +277,7 @@ class TestDecode:
         params = ModelParams.initialize(cfg, seed=16)
         del params.tensors["decoder.pedestrian.out.weight"]
         s = tiny_sample(rng)
-        f = Tensor(rng.normal(size=(s.n_agents, cfg.channels, cfg.t_obs_points)))
+        f = Tensor(rng.normal(size=(s.n_agents, cfg.t_obs_points, cfg.channels)))
         with pytest.raises(RoutingError, match="pedestrian"):
             cs_gru_decode(f, s, params, cfg)
 
@@ -285,7 +286,7 @@ class TestDecode:
         params = ModelParams.initialize(cfg, seed=17)
         s = tiny_sample(rng)
         s.categories = ["vehicle", "others", "vehicle"]
-        f = Tensor(rng.normal(size=(s.n_agents, cfg.channels, cfg.t_obs_points)))
+        f = Tensor(rng.normal(size=(s.n_agents, cfg.t_obs_points, cfg.channels)))
         out = cs_gru_decode(f, s, params, cfg)
         for k in range(cfg.t_pred):
             np.testing.assert_array_equal(out.data[1, k], s.observed[1, -1])
@@ -534,6 +535,33 @@ class TestBatchedForward:
             forward(scenes, cfg, params, [adjacency])
         with pytest.raises(UsageError, match="at least one sample"):
             forward([], cfg, params)
+
+
+class TestGoldenModel:
+    """The whole network against ``tests/data/golden_model.npz``, recorded
+    at commit fcc226d (the channel-major (N, C, T) features and the im2col
+    temporal convolution) by ``PYTHONPATH=src:tests python
+    tests/golden_model.py``: the rows, the loss and every parameter
+    gradient of a batch of one and of three ``random_scene``s at C=8."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with np.load(golden_model.PATH) as archive:
+            return dict(archive)
+
+    @pytest.mark.parametrize("n_scenes", golden_model.SCENE_COUNTS)
+    def test_float64_within_1e12(self, golden, n_scenes):
+        got = golden_model.run_case(n_scenes)
+        assert sorted(got) == sorted(k for k in golden if k.startswith(f"S{n_scenes}."))
+        for key, actual in got.items():
+            assert actual.shape == golden[key].shape, key
+            assert_rel_close(actual, golden[key])
+
+    def test_float32_stays_float32(self, golden):
+        got = golden_model.run_case(3, np.float32)
+        for key, actual in got.items():
+            assert actual.dtype == np.float32, key
+            assert_rel_close(actual, golden[key], rel=1e-4)
 
 
 def degenerate_scene(case):
