@@ -1,9 +1,12 @@
 """Minimal reverse-mode differentiation core.
 
-Provides exactly the primitives the prediction network needs: elementwise
-arithmetic, dense and block-diagonal matrix products, same-padded temporal
-convolution, per-position channel mixing (1x1 convolution), the usual
-activations, and a GRU cell.
+Holds only the primitives the prediction network calls: elementwise
+``add``, ``sub``, ``mul`` and ``relu`` (with numpy broadcasting), a full
+``tsum``, ``reshape``, indexing, ``stack`` and ``concat``, the
+block-diagonal product of the spatial mixing, same-padded temporal
+convolution, per-position channel mixing over the last axis (1x1
+convolution), and a GRU cell. Composed ops that only test oracles use live
+with the tests.
 Tensors wrap contiguous numpy arrays; every operation is deterministic and
 the backward pass visits nodes in reverse topological order, so identical
 inputs give bitwise-identical outputs and gradients.
@@ -13,12 +16,11 @@ backward, checked against finite differences (``gradcheck``) and against a
 composed or loop oracle in the tests. Inside a primitive, the hot paths are
 lowered to BLAS matrix products (``temporal_conv`` on time-major (N, T, C)
 input via one product with every tap's kernel side by side plus shifted
-sums, ``channel_mix`` over the last axis via one 2-D product, ``gru_cell``
-via one product for the three input projections and one for the two gate
-projections of the hidden state), because per-tap, per-element or per-gate
-graph nodes dominate the run time at the model's sizes. ``gru_cell`` is one
-node with a hand-written backward; its gate convention is the one in its
-docstring.
+sums, ``channel_mix`` via one 2-D product, ``gru_cell`` via one product for
+the three input projections and one for the two gate projections of the
+hidden state), because per-tap, per-element or per-gate graph nodes
+dominate the run time at the model's sizes. ``gru_cell`` is one node with a
+hand-written backward; its gate convention is the one in its docstring.
 """
 
 from __future__ import annotations
@@ -37,19 +39,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
     "block_matmul",
     "relu",
-    "sigmoid",
-    "tanh",
     "tsum",
-    "tmean",
     "reshape",
-    "transpose",
-    "broadcast_to",
     "stack",
     "concat",
-    "gather_rows",
     "temporal_conv",
     "channel_mix",
     "gru_cell",
@@ -249,41 +244,6 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of 1-D/2-D operands with numpy semantics.
-
-    Supports (m,k)@(k,n), (k,)@(k,n), and (m,k)@(k,); gradients accumulate to
-    both operands.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise DimensionError(
-            f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}"
-        )
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.ndim == 2 and b.ndim == 2:
-            ga = g @ b.data.T
-            gb = a.data.T @ g
-        elif a.ndim == 1 and b.ndim == 2:
-            ga = b.data @ g
-            gb = np.outer(a.data, g)
-        else:  # a 2-D, b 1-D
-            ga = np.outer(g, b.data)
-            gb = a.data.T @ g
-        if a.requires_grad:
-            a._accumulate(ga)
-        if b.requires_grad:
-            b._accumulate(gb)
-
-    return _make(out_data, (a, b), backward)
-
-
 def block_matmul(blocks, x) -> Tensor:
     """``block_diag(*blocks) @ x`` without forming the block-diagonal matrix.
 
@@ -336,51 +296,21 @@ def relu(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions and shape manipulation
 # ---------------------------------------------------------------------------
 
 
-def tsum(a, axis=None) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every element, a scalar."""
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis)
+    out_data = a.data.sum()
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
+        if a.requires_grad:
             a._accumulate(np.full_like(a.data, float(g)))
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
 
     return _make(out_data, (a,), backward)
-
-
-def tmean(a) -> Tensor:
-    a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def reshape(a, shape) -> Tensor:
@@ -390,31 +320,6 @@ def reshape(a, shape) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g.reshape(a.shape))
-
-    return _make(out_data, (a,), backward)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out_data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.transpose(g, inverse))
-
-    return _make(out_data, (a,), backward)
-
-
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    shape = tuple(shape)
-    out_data = np.broadcast_to(a.data, shape).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -486,19 +391,6 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     return _make(out_data, tensors, backward)
 
 
-def gather_rows(a, indices) -> Tensor:
-    """Select rows along axis 0; duplicate indices accumulate gradients."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    out_data = a.data[idx]
-
-    def backward(g):
-        if a.requires_grad:
-            np.add.at(a._grad_buffer(), idx, g)
-
-    return _make(out_data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # convolution primitives
 # ---------------------------------------------------------------------------
@@ -567,46 +459,44 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
     return _make(out_data, parents, backward)
 
 
-def channel_mix(x, weight, bias=None, axis: int = -1) -> Tensor:
-    """Per-position linear map across one axis (a 1x1 convolution).
+def channel_mix(x, weight, bias=None) -> Tensor:
+    """Per-position linear map across the last axis (a 1x1 convolution).
 
-    ``weight`` has shape (C_out, C_in) where C_in is the size of ``axis`` in
-    ``x``; every other position is mapped independently. Used for coordinate
-    embedding, spatial mixing and the decoders (over the last axis, where
-    it is one 2-D product ``x @ W^T``) and the two fusions (over axis 0).
+    ``weight`` has shape (C_out, C_in) where C_in is the last axis of ``x``;
+    every other position is mapped independently, so ``x`` as (M, C_in)
+    gives one 2-D product ``x @ W^T`` forward and two in backward. Used for
+    the coordinate embedding, the spatial channel map, the plan embedding
+    and the decoders' per-step maps.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.ndim != 2:
         raise DimensionError(f"channel_mix: weight must be 2-D, got {weight.shape}")
-    axis = axis % x.ndim
     c_out, c_in = weight.shape
-    if x.shape[axis] != c_in:
+    if x.ndim == 0 or x.shape[-1] != c_in:
         raise DimensionError(
-            f"channel_mix: axis {axis} of input has size {x.shape[axis]}, "
-            f"weight expects {c_in}"
+            f"channel_mix: last axis of input {x.shape} does not match "
+            f"weight {weight.shape}, which expects {c_in}"
         )
-    out_m = np.tensordot(x.data, weight.data, ([axis], [1]))  # (..., C_out)
+    x2 = x.data.reshape(-1, c_in)
+    out_data = x2 @ weight.data.T
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise DimensionError(f"channel_mix: bias shape {bias.shape} != ({c_out},)")
-        out_m += bias.data
+        out_data += bias.data
         parents.append(bias)
-    out_data = np.moveaxis(out_m, -1, axis)
 
     def backward(g):
-        g2 = np.moveaxis(g, axis, -1).reshape(-1, c_out)
+        g2 = g.reshape(-1, c_out)
         if weight.requires_grad:
-            x2 = np.moveaxis(x.data, axis, -1).reshape(-1, c_in)
             weight._accumulate(g2.T @ x2)
         if x.requires_grad:
-            gx = np.tensordot(g, weight.data, ([axis], [0]))  # (..., C_in)
-            x._accumulate(np.moveaxis(gx, -1, axis))
+            x._accumulate((g2 @ weight.data).reshape(x.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
 
-    return _make(out_data, parents, backward)
+    return _make(out_data.reshape(x.shape[:-1] + (c_out,)), parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .model import ModelConfig, ModelParams, forward, prepare, supervised_mask
 from .scene import Sample
 
@@ -156,10 +156,13 @@ def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
     horizon_errs: dict = {}
     excluded = 0
     detached = params.detached()
-    for sample in samples:
+    for index, sample in enumerate(samples):
         prepared = prepare(sample, config)
         centered = prepared.sample
-        pred = forward(prepared, config, detached).data
+        try:
+            pred = forward(prepared, config, detached).data
+        except DimensionError as exc:
+            raise DimensionError(f"sample {index}: {exc}") from None
         sup = supervised_mask(centered, config)
         errs = displacement_errors(pred, centered.future, centered.fut_mask)
         decodable = np.array([c in config.categories_decoded

@@ -82,6 +82,13 @@ class ModelConfig:
         for c in self.categories_decoded:
             if c not in CATEGORIES:
                 raise UsageError(f"unknown category {c!r}")
+        # parameters exist once per name, so a repeated name would make the
+        # config disagree with the checkpoint written under it
+        for attr in ("enabled_graphs", "categories_decoded"):
+            names = getattr(self, attr)
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise UsageError(f"{attr} repeats {name!r}")
         if self.channels < 1 or self.blocks_per_branch < 1:
             raise UsageError("channels and blocks_per_branch must be positive")
         if self.t_obs_points < 2 or self.t_pred < 1:
@@ -266,13 +273,22 @@ def _branch(z: Tensor, norm_adj, params: ModelParams,
     return out
 
 
+def _fuse(parts, weight: Tensor, bias: Tensor) -> Tensor:
+    """``relu(bias + sum_s weight[0, s] * part_s)``: a 1x1 convolution over
+    the S stacked maps, written as a weighted sum. A part may broadcast
+    against the others, so nothing is stacked or tiled."""
+    out = bias
+    for s, part in enumerate(parts):
+        out = ag.add(out, ag.mul(weight[0, s], part))
+    return ag.relu(out)
+
+
 def fuse_graph_features(branch_outputs, params: ModelParams) -> Tensor:
-    """Stack the enabled branches and mix them down with a 1x1 convolution
-    plus ReLU. Stack depth equals the number of enabled graphs."""
-    stacked = ag.stack(branch_outputs, axis=0)  # (S, N, T, C)
-    mixed = ag.channel_mix(stacked, params["graph_fusion.weight"],
-                           params["graph_fusion.bias"], axis=0)
-    return ag.relu(ag.reshape(mixed, stacked.shape[1:]))
+    """Mix the enabled branches' (N, T, C) outputs down to one map with a
+    1x1 convolution over the branches plus ReLU: the weighted sum of
+    :func:`_fuse`, one weight per enabled graph."""
+    return _fuse(branch_outputs, params["graph_fusion.weight"],
+                 params["graph_fusion.bias"])
 
 
 def encode_plan(ego_plan: np.ndarray, params: ModelParams,
@@ -294,19 +310,17 @@ def encode_plan(ego_plan: np.ndarray, params: ModelParams,
 
 def fuse_plan_features(f_graphs: Tensor, plan_encoding,
                        params: ModelParams, config: ModelConfig) -> Tensor:
-    """Broadcast the plan encoding over agents and frames, stack it with the
-    graph features, and mix with a 1x1 convolution plus ReLU. The encoding
-    is one (C,) vector for every agent or one (N, C) row per agent. With
+    """Fuse the graph features (N, T, C) with the plan encoding by a 1x1
+    convolution over the two plus ReLU (:func:`_fuse`). The encoding is one
+    (C,) vector for every agent or one (N, C) row per agent; viewed as
+    (1, 1, C) or (N, 1, C), it broadcasts over agents and frames. With
     planning fusion disabled this is just ReLU of the graph features (no
     parameters)."""
     if not config.planning_fusion_enabled:
         return ag.relu(f_graphs)
-    n, t, c = f_graphs.shape
-    tiled = ag.broadcast_to(ag.reshape(plan_encoding, (-1, 1, c)), (n, t, c))
-    stacked = ag.stack([f_graphs, tiled], axis=0)  # (2, N, T, C)
-    mixed = ag.channel_mix(stacked, params["plan_fusion.weight"],
-                           params["plan_fusion.bias"], axis=0)
-    return ag.relu(ag.reshape(mixed, (n, t, c)))
+    plan = ag.reshape(plan_encoding, (-1, 1, f_graphs.shape[-1]))
+    return _fuse([f_graphs, plan], params["plan_fusion.weight"],
+                 params["plan_fusion.bias"])
 
 
 def supervised_mask(sample: Sample, config: ModelConfig) -> np.ndarray:
@@ -334,7 +348,10 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     the decoder GRU starts from that state with the embedded current
     position as first input, and each step's hidden state projects to a
     displacement added onto the previous position. A decoder runs the
-    agents of its category from every scene of the batch as one group.
+    agents of its category from every scene of the batch as one group: it
+    takes their rows of ``f_fusion`` by one index and stacks its positions
+    along a new step axis, (B, T_pred, 2). One more index puts the groups'
+    rows back in the scenes' agent order.
     """
     scenes = _scenes(samples)
     categories = [c for s in scenes for c in s.categories]
@@ -355,7 +372,7 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     blocks = []
     for key in sorted(groups):
         idx = groups[key]
-        f_in = ag.gather_rows(f_fusion, idx)  # (B, T, C)
+        f_in = f_fusion[idx]  # (B, T, C)
         enc = params.gru(f"decoder.{key}.enc")
         dec = params.gru(f"decoder.{key}.dec")
         h = Tensor(np.zeros((len(idx), config.channels), dtype=f_in.data.dtype))
@@ -371,7 +388,7 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
                                    params[f"decoder.{key}.out.bias"])
             pos = ag.add(pos, delta)
             steps.append(pos)
-        blocks.append(ag.transpose(ag.stack(steps, axis=0), (1, 0, 2)))
+        blocks.append(ag.stack(steps, axis=1))  # (B, T_pred, 2)
         order.extend(idx)
     if undecoded:
         last = current[undecoded]
@@ -381,7 +398,7 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     combined = ag.concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
     inverse = np.empty(n, dtype=np.intp)
     inverse[np.asarray(order, dtype=np.intp)] = np.arange(n)
-    return ag.gather_rows(combined, inverse)
+    return combined[inverse]
 
 
 @dataclass(frozen=True)
@@ -478,7 +495,7 @@ def forward(samples, config: ModelConfig, params: ModelParams,
                                 params, config)  # (S, C)
         scene_of_agent = np.repeat(np.arange(len(samples)),
                                    [s.n_agents for s in samples])
-        plan_encoding = ag.gather_rows(per_scene, scene_of_agent)
+        plan_encoding = per_scene[scene_of_agent]
     f_fusion = fuse_plan_features(f_graphs, plan_encoding, params, config)
     return cs_gru_decode(f_fusion, samples, params, config)
 

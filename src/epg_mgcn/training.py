@@ -161,8 +161,11 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         raise DataError("training dataset is empty")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise UsageError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    for s in samples:
-        validate_sample(s)
+    for i, s in enumerate(samples):
+        try:
+            validate_sample(s)
+        except DataError as exc:
+            raise DataError(f"sample {i}: {exc}") from None
 
     if resume is not None:
         checkpoint = read_checkpoint(resume, expected_config=model_config)

@@ -209,6 +209,10 @@ class TestInputErrors:
         ('{"model": {"chanels": 4}}', "unknown model config field 'chanels'"),
         ('{"train": {"max_epoch": 1}}', "unknown train config field 'max_epoch'"),
         ('{"modle": {}}', "unknown section 'modle'"),
+        ('{"model": {"categories_decoded": ["vehicle", "vehicle"]}}',
+         "categories_decoded repeats 'vehicle'"),
+        ('{"model": {"enabled_graphs": ["distance", "distance"]}}',
+         "enabled_graphs repeats 'distance'"),
         ('{"model": {"channels": 4},\n', "invalid JSON: Expecting property name"
                                          " enclosed in double quotes: line 2 column 1"),
     ])

@@ -1,10 +1,12 @@
 """Displacement metrics against hand values and double-loop oracles; the
 published weighted-score reproduction lives in the acceptance suite too."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from epg_mgcn.errors import DataError
+from epg_mgcn.errors import DataError, DimensionError
 from epg_mgcn.metrics import (
     CATEGORY_WEIGHTS,
     displacement_errors,
@@ -147,3 +149,14 @@ class TestEvaluate:
         report = evaluate(samples, cfg, params)
         assert report.excluded_count == 1
         assert report.agent_count == 5
+
+    def test_wrong_observed_length_names_the_sample(self):
+        samples = make_synthetic_dataset(3)
+        short = samples[1]
+        samples[1] = dataclasses.replace(short, observed=short.observed[:, 2:],
+                                         obs_mask=short.obs_mask[:, 2:])
+        cfg = ModelConfig(channels=6, t_obs_points=6, t_pred=6)
+        params = ModelParams.initialize(cfg, seed=0)
+        with pytest.raises(DimensionError, match=(
+                "sample 1: sample has 4 observed points, config expects 6")):
+            evaluate(samples, cfg, params)

@@ -15,7 +15,7 @@ from epg_mgcn.autograd import Tensor
 from epg_mgcn.errors import FormatError, RoutingError, UsageError
 from epg_mgcn.gradcheck import finite_diff_check
 from epg_mgcn.metrics import evaluate
-from epg_mgcn.graphs import build_adjacency
+from epg_mgcn.graphs import GRAPH_NAMES, build_adjacency
 from epg_mgcn.model import (
     ModelConfig,
     ModelParams,
@@ -59,6 +59,20 @@ def np_gru(x, h, p, prefix, params):
     r = sig(x @ w("w_r") + h @ w("u_r") + w("b_r"))
     n = np.tanh(x @ w("w_h") + (r * h) @ w("u_h") + w("b_h"))
     return (1 - z) * h + z * n
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field, names, repeated", [
+        ("categories_decoded", ("vehicle", "vehicle"), "vehicle"),
+        ("enabled_graphs", ("distance", "planning", "distance"), "distance"),
+    ])
+    def test_repeated_name_is_refused(self, field, names, repeated):
+        with pytest.raises(UsageError, match=f"{field} repeats '{repeated}'"):
+            ModelConfig(**{field: names})
+        config = ModelConfig().to_dict()
+        config[field] = list(names)
+        with pytest.raises(UsageError, match=f"{field} repeats '{repeated}'"):
+            ModelConfig.from_dict(config)
 
 
 class TestEmbedInputs:
@@ -231,6 +245,82 @@ class TestFusePlanFeatures:
         f = Tensor(rng.normal(size=(3, 4, 5)))
         out = fuse_plan_features(f, None, params, cfg)
         np.testing.assert_array_equal(out.data, np.maximum(f.data, 0))
+
+
+def fusion_oracle(parts, weight, bias, g):
+    """numpy closed form of ``relu(bias + sum_s weight[0, s] * part_s)``
+    over broadcasting parts, in float64, and of the gradients of
+    ``sum(out * g)``: the upstream ``d`` at the sum, which each part takes
+    times its weight, and the weight's and the bias's gradients."""
+    parts = [np.asarray(p, dtype=np.float64) for p in parts]
+    w = np.asarray(weight, dtype=np.float64)[0]
+    pre = np.asarray(bias, dtype=np.float64)[0] + sum(
+        ws * p for ws, p in zip(w, parts))
+    d = np.asarray(g, dtype=np.float64) * (pre > 0)
+    grad_w = np.array([[np.sum(d * p) for p in parts]])
+    return np.maximum(pre, 0), d, w, grad_w, np.array([d.sum()])
+
+
+class TestFusionGradientOracle:
+    """Both fusions' outputs and every gradient against
+    :func:`fusion_oracle`: within 1e-12 of the largest magnitude in float64,
+    and a float32 run stays float32."""
+
+    @staticmethod
+    def make(graphs, dtype, seed):
+        cfg = tiny_config(enabled_graphs=graphs)
+        params = ModelParams.initialize(cfg, seed=seed, dtype=dtype)
+        rng = np.random.default_rng(seed)
+        for name in ("graph_fusion", "plan_fusion"):
+            weight = params[f"{name}.weight"].data
+            weight[:] = rng.normal(size=weight.shape)
+            params[f"{name}.bias"].data[:] = 0.1 * rng.normal()
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+        return cfg, params, leaf, rng.normal(size=(5, 4, cfg.channels)).astype(dtype)
+
+    @staticmethod
+    def check(cases, d, dtype):
+        assert 0.2 < np.mean(d != 0) < 0.8  # the ReLU passes part of the sum
+        for name, a, e in cases:
+            assert a.dtype == dtype, name
+            assert a.shape == np.shape(e), name
+            assert_rel_close(a, e, rel=1e-12 if dtype == np.float64 else 1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("graphs", [GRAPH_NAMES, ("distance",)])
+    def test_graph_fusion(self, graphs, dtype):
+        cfg, params, leaf, g = self.make(graphs, dtype, seed=len(graphs))
+        parts = [leaf(5, 4, cfg.channels) for _ in graphs]
+        out = fuse_graph_features(parts, params)
+        ag.tsum(ag.mul(out, g)).backward()
+        weight, bias = params["graph_fusion.weight"], params["graph_fusion.bias"]
+        want, d, w, grad_w, grad_b = fusion_oracle(
+            [p.data for p in parts], weight.data, bias.data, g)
+        self.check([("out", out.data, want), ("weight", weight.grad, grad_w),
+                    ("bias", bias.grad, grad_b)]
+                   + [(f"part {s}", p.grad, w[s] * d) for s, p in enumerate(parts)],
+                   d, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("graphs", [GRAPH_NAMES, ("distance",)])
+    @pytest.mark.parametrize("per_agent", [True, False])
+    def test_plan_fusion(self, graphs, per_agent, dtype):
+        cfg, params, leaf, g = self.make(graphs, dtype, seed=7 + per_agent)
+        f = leaf(5, 4, cfg.channels)
+        enc = leaf(5, cfg.channels) if per_agent else leaf(cfg.channels)
+        out = fuse_plan_features(f, enc, params, cfg)
+        ag.tsum(ag.mul(out, g)).backward()
+        weight, bias = params["plan_fusion.weight"], params["plan_fusion.bias"]
+        tiled = enc.data[:, None, :] if per_agent else enc.data[None, None, :]
+        want, d, w, grad_w, grad_b = fusion_oracle(
+            [f.data, tiled], weight.data, bias.data, g)
+        grad_enc = w[1] * (d.sum(axis=1) if per_agent else d.sum(axis=(0, 1)))
+        self.check([("out", out.data, want), ("weight", weight.grad, grad_w),
+                    ("bias", bias.grad, grad_b), ("graph features", f.grad, w[0] * d),
+                    ("plan encoding", enc.grad, grad_enc)], d, dtype)
 
 
 class TestDecode:

@@ -89,6 +89,12 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="empty"):
             train([], small_model(), small_train())
 
+    def test_non_finite_coordinates_name_the_sample(self):
+        samples = make_synthetic_dataset(3)
+        samples[2].observed[1, 0, 0] = np.nan
+        with pytest.raises(DataError, match="sample 2: non-finite coordinates"):
+            train(samples, small_model(), small_train(max_epochs=1))
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_aborts_with_coordinates(self):
         samples = make_synthetic_dataset(2)
