@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .model import ModelConfig, ModelParams, forward, prepare, supervised_mask
-from .scene import Sample
+from .scene import Sample, validate_sample
 
 __all__ = [
     "CATEGORY_WEIGHTS",
@@ -143,7 +143,8 @@ class MetricReport:
 
 def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
     """Predict every sample (prepared, on detached parameters) and aggregate
-    displacement errors over the supervised agents.
+    displacement errors over the supervised agents. A sample that breaks an
+    invariant raises DataError naming its index, as in ``train``.
 
     Category means average per-agent ADE/FDE; WSADE/WSFDE are reported when
     all three weighted categories occur, which is skipped for vehicle-only
@@ -157,6 +158,10 @@ def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
     excluded = 0
     detached = params.detached()
     for index, sample in enumerate(samples):
+        try:
+            validate_sample(sample)
+        except DataError as exc:
+            raise DataError(f"sample {index}: {exc}") from None
         prepared = prepare(sample, config)
         centered = prepared.sample
         try:

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 CATEGORIES = ("vehicle", "pedestrian", "bicyclist", "others")
+_CATEGORY_NAMES = {c: c for c in CATEGORIES}
 
 FEET_TO_METERS = 0.3048
 HIGHWAY_BAND_METERS = 90.0 * FEET_TO_METERS  # +/- 90 ft longitudinally
@@ -256,18 +257,6 @@ def load_trajectory_table(path, format: str) -> list[AgentTrack]:
 # ---------------------------------------------------------------------------
 
 
-def _admit_neighbor(config, ego_pos, ego_lane, pos, lane) -> bool:
-    if config.neighborhood == "radius":
-        return float(np.hypot(*(pos - ego_pos))) <= config.d_d * config.node_scope
-    # highway band: y is longitudinal, lanes from the source table
-    if lane is None or ego_lane is None:
-        raise DataError("highway_band neighborhood needs lane ids")
-    return (
-        abs(pos[1] - ego_pos[1]) <= HIGHWAY_BAND_METERS
-        and abs(int(lane) - int(ego_lane)) <= 1
-    )
-
-
 def window_samples(tracks, config: DatasetConfig,
                    ego_selection: str = "every_complete_agent",
                    ego_id: int | None = None) -> list[Sample]:
@@ -277,86 +266,75 @@ def window_samples(tracks, config: DatasetConfig,
     ego -- an agent present at all window frames -- one Sample is emitted.
     Neighbors must be present at the last observed frame and pass the
     neighborhood rule; partially observed neighbors are zero-padded and
-    masked. The ego's recorded future becomes its plan.
+    masked. The ego's recorded future becomes its plan. Egos and neighbors
+    keep the order of ``tracks``.
     """
     if ego_selection not in ("every_complete_agent", "given_id"):
         raise DataError(f"unknown ego_selection {ego_selection!r}")
     if ego_selection == "given_id" and ego_id is None:
         raise DataError("ego_selection='given_id' requires ego_id")
+    highway = config.neighborhood == "highway_band"
+    if highway:
+        for track in tracks:
+            if track.lanes is None:
+                raise DataError("highway_band neighborhood needs lane ids; "
+                                f"agent {track.agent_id} has none")
     if not tracks:
         return []
 
     length = config.window_points
-    stride = config.window_stride or length
-    p_obs = config.t_obs_points
-
-    index = {}
-    for track in tracks:
-        index[track.agent_id] = {
-            int(f): i for i, f in enumerate(track.frames)
-        }
-    by_id = {t.agent_id: t for t in tracks}
-
-    f_min = min(int(t.frames[0]) for t in tracks)
-    f_max = max(int(t.frames[-1]) for t in tracks)
+    last = config.t_obs_points - 1
+    reach = config.d_d * config.node_scope
+    # one row per (track, frame), sorted by frame; owner: index in ``tracks``
+    frames = np.concatenate([t.frames for t in tracks]).astype(np.int64)
+    order = np.argsort(frames)
+    frames = frames[order]
+    owner = np.repeat(np.arange(len(tracks)), [len(t.frames) for t in tracks])[order]
+    positions = np.concatenate([t.positions for t in tracks]).astype(np.float64)[order]
+    if highway:
+        lanes = np.concatenate([t.lanes for t in tracks]).astype(np.int64)[order]
 
     samples = []
-    for start in range(f_min, f_max - length + 2, stride):
-        window = range(start, start + length)
-        last_obs = start + p_obs - 1
-        complete = [
-            t.agent_id for t in tracks
-            if all(f in index[t.agent_id] for f in window)
-        ]
+    for start in range(int(frames[0]), int(frames[-1]) - length + 2,
+                       config.window_stride or length):
+        lo, hi = np.searchsorted(frames, (start, start + length))
+        # grids over the agents present in this window only; masked
+        # entries stay +0.0 because positions are scattered into zeros
+        agents, row = np.unique(owner[lo:hi], return_inverse=True)
+        step = frames[lo:hi] - start
+        present = np.zeros((len(agents), length), dtype=bool)
+        present[row, step] = True
+        grid = np.zeros((len(agents), length, 2))
+        grid[row, step] = positions[lo:hi]
+        egos = np.flatnonzero(present.all(axis=1))
         if ego_selection == "given_id":
-            egos = [ego_id] if ego_id in complete else []
-        else:
-            egos = complete  # already sorted: tracks are sorted by id
-        for ego in egos:
-            ego_track = by_id[ego]
-            ego_row = index[ego][last_obs]
-            ego_pos = ego_track.positions[ego_row]
-            ego_lane = None if ego_track.lanes is None else ego_track.lanes[ego_row]
-            neighbors = []
-            for track in tracks:
-                if track.agent_id == ego:
-                    continue
-                row = index[track.agent_id].get(last_obs)
-                if row is None:
-                    continue
-                lane = None if track.lanes is None else track.lanes[row]
-                if _admit_neighbor(config, ego_pos, ego_lane,
-                                   track.positions[row], lane):
-                    neighbors.append(track.agent_id)
-            agent_ids = [ego] + neighbors
-            n = len(agent_ids)
-            obs = np.zeros((n, p_obs, 2))
-            fut = np.zeros((n, config.t_pred_frames, 2))
-            obs_mask = np.zeros((n, p_obs), dtype=bool)
-            fut_mask = np.zeros((n, config.t_pred_frames), dtype=bool)
-            for i, aid in enumerate(agent_ids):
-                rows = index[aid]
-                track = by_id[aid]
-                for k, f in enumerate(range(start, start + p_obs)):
-                    r = rows.get(f)
-                    if r is not None:
-                        obs[i, k] = track.positions[r]
-                        obs_mask[i, k] = True
-                for k, f in enumerate(range(start + p_obs, start + length)):
-                    r = rows.get(f)
-                    if r is not None:
-                        fut[i, k] = track.positions[r]
-                        fut_mask[i, k] = True
+            egos = [e for e in egos if tracks[agents[e]].agent_id == ego_id]
+        cands = np.flatnonzero(present[:, last])
+        here = grid[cands, last]
+        if highway:
+            now = step == last
+            lane = np.zeros(len(agents), dtype=np.int64)
+            lane[row[now]] = lanes[lo:hi][now]
+        for e in egos:
+            if highway:
+                # y is longitudinal; lanes come from the source table
+                admit = ((np.abs(here[:, 1] - grid[e, last, 1]) <= HIGHWAY_BAND_METERS)
+                         & (np.abs(lane[cands] - lane[e]) <= 1))
+            else:
+                d = here - grid[e, last]
+                admit = np.hypot(d[:, 0], d[:, 1]) <= reach
+            members = np.concatenate(([e], cands[admit & (cands != e)]))
+            fut = grid[members, last + 1:]
             samples.append(
                 Sample(
-                    categories=[by_id[a].category for a in agent_ids],
-                    observed=obs,
+                    categories=[tracks[a].category for a in agents[members]],
+                    observed=grid[members, :last + 1],
                     future=fut,
                     ego_plan=fut[0].copy(),
-                    obs_mask=obs_mask,
-                    fut_mask=fut_mask,
+                    obs_mask=present[members, :last + 1],
+                    fut_mask=present[members, last + 1:],
                     frame_rate=config.frame_rate,
-                    agent_ids=agent_ids,
+                    agent_ids=[tracks[a].agent_id for a in agents[members]],
                 )
             )
     return samples
@@ -462,30 +440,42 @@ def sample_from_line(line: str) -> Sample:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid canonical record: {exc}") from None
+    if not isinstance(rec, dict):
+        raise FormatError("invalid canonical record: not a JSON object")
     version = rec.get("version")
     if version != CANONICAL_VERSION:
         raise FormatError(
             f"unsupported canonical version {version!r} "
             f"(expected {CANONICAL_VERSION})"
         )
-    return Sample(
-        categories=list(rec["categories"]),
-        observed=np.asarray(rec["obs"], dtype=np.float64).reshape(
-            len(rec["categories"]), -1, 2
-        ),
-        future=np.asarray(rec["fut"], dtype=np.float64).reshape(
-            len(rec["categories"]), -1, 2
-        ),
-        ego_plan=np.asarray(rec["plan"], dtype=np.float64).reshape(-1, 2),
-        obs_mask=np.asarray(rec["obs_mask"], dtype=bool),
-        fut_mask=np.asarray(rec["fut_mask"], dtype=bool),
-        frame_rate=float(rec["frame_rate"]),
-        agent_ids=[int(a) for a in rec["agent_ids"]],
-        origin=np.asarray(rec["origin"], dtype=np.float64),
-    )
+    try:
+        n = len(rec["categories"])
+        return Sample(
+            # one shared str per known category, not one per agent and sample
+            categories=[_CATEGORY_NAMES.get(c, c) for c in rec["categories"]],
+            observed=np.asarray(rec["obs"], dtype=np.float64).reshape(n, -1, 2),
+            future=np.asarray(rec["fut"], dtype=np.float64).reshape(n, -1, 2),
+            ego_plan=np.asarray(rec["plan"], dtype=np.float64).reshape(-1, 2),
+            obs_mask=np.asarray(rec["obs_mask"], dtype=bool),
+            fut_mask=np.asarray(rec["fut_mask"], dtype=bool),
+            frame_rate=float(rec["frame_rate"]),
+            agent_ids=[int(a) for a in rec["agent_ids"]],
+            origin=np.asarray(rec["origin"], dtype=np.float64),
+        )
+    except KeyError as exc:
+        raise FormatError(f"invalid canonical record: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"invalid canonical record: {exc}") from None
 
 
 def write_canonical(samples, path) -> None:
+    """Write one line per sample. A sample with a non-finite coordinate is
+    refused, naming its index, before the file is opened."""
+    samples = list(samples)
+    for i, s in enumerate(samples):
+        if not all(np.isfinite(a).all()
+                   for a in (s.observed, s.future, s.ego_plan, s.origin)):
+            raise DataError(f"sample {i}: non-finite coordinates")
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             fh.write(sample_to_line(sample))
@@ -493,10 +483,15 @@ def write_canonical(samples, path) -> None:
 
 
 def read_canonical(path) -> list[Sample]:
+    """Read a canonical file; a malformed record fails as FormatError naming
+    the path and its 1-based line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                samples.append(sample_from_line(line))
+                try:
+                    samples.append(sample_from_line(line))
+                except FormatError as exc:
+                    raise FormatError(f"{path}, line {lineno}: {exc}") from None
     return samples

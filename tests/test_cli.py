@@ -41,6 +41,16 @@ class TestPrepare:
         assert len(samples) == 3  # every complete agent becomes ego once
         assert samples[0].n_agents >= 1
 
+    def test_prepare_twice_writes_identical_bytes(self, tmp_path):
+        table = tmp_path / "apollo.txt"
+        make_apollo_table(table, n_frames=20)
+        outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for out in outs:
+            assert main(["prepare", "--format", "apollo_like", "--input",
+                         str(table), "--output", str(out), "--stride", "1"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_canonical(outs[0])) == 3 * 9
+
     def test_prepare_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 2\n")

@@ -150,6 +150,14 @@ class TestEvaluate:
         assert report.excluded_count == 1
         assert report.agent_count == 5
 
+    def test_non_finite_sample_names_its_index(self):
+        samples = make_synthetic_dataset(3)
+        samples[1].observed[2, 0, 0] = np.nan
+        cfg = ModelConfig(channels=6, t_obs_points=6, t_pred=6)
+        params = ModelParams.initialize(cfg, seed=0)
+        with pytest.raises(DataError, match="sample 1: non-finite coordinates"):
+            evaluate(samples, cfg, params)
+
     def test_wrong_observed_length_names_the_sample(self):
         samples = make_synthetic_dataset(3)
         short = samples[1]

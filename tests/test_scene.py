@@ -1,12 +1,17 @@
 """Table parsing, windowing against a brute-force enumerator, ego-centering,
 and canonical round-trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_scene
+from oracle_scene import window_samples_loop
 from epg_mgcn.errors import DataError, FormatError, ParseError
 from epg_mgcn.scene import (
+    CATEGORIES,
     FEET_TO_METERS,
     HIGHWAY_BAND_METERS,
     DatasetConfig,
@@ -224,6 +229,17 @@ class TestWindowing:
         samples = window_samples(tracks, cfg, ego_selection="given_id", ego_id=1)
         assert samples[0].agent_ids == [1, 2]
 
+    def test_highway_band_without_lanes_names_the_agent(self):
+        from epg_mgcn.scene import AgentTrack
+        cfg = self.config(neighborhood="highway_band", t_obs_points=3,
+                          t_pred_frames=3, frame_rate=5.0)
+        tracks = linear_tracks([(1, "vehicle", (0.0, 0.0), (0, 1.0), 3)], 6)
+        # never present at a last observed frame, so never a candidate
+        frames = np.array([7, 8])
+        tracks.append(AgentTrack(9, "vehicle", frames, np.zeros((2, 2))))
+        with pytest.raises(DataError, match="agent 9"):
+            window_samples(tracks, cfg)
+
     def test_sliding_windows(self):
         tracks = linear_tracks([(1, "vehicle", (0, 0), (1, 0))], 14)
         samples = window_samples(tracks, self.config(window_stride=1))
@@ -340,9 +356,40 @@ class TestCanonicalFormat:
             assert a.agent_ids == b.agent_ids
             assert a.frame_rate == b.frame_rate
 
+    def test_read_shares_one_string_per_category(self, tmp_path, rng):
+        path = tmp_path / "many.jsonl"
+        write_canonical([random_scene(rng) for _ in range(5)], path)
+        for s in read_canonical(path):
+            assert all(c is CATEGORIES[CATEGORIES.index(c)] for c in s.categories)
+
     def test_write_is_deterministic(self, tmp_path, rng):
         s = random_scene(rng)
         assert sample_to_line(s) == sample_to_line(s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_refused_before_writing(self, tmp_path, rng, bad):
+        samples = [random_scene(rng) for _ in range(3)]
+        samples[1].future[0, 2, 1] = bad
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(DataError, match="sample 1: non-finite coordinates"):
+            write_canonical(samples, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("damage", ["no categories", "obs not reshapable",
+                                        "not an object"])
+    def test_malformed_record_names_path_and_line(self, tmp_path, rng, damage):
+        good = sample_to_line(random_scene(rng))
+        rec = json.loads(good)
+        if damage == "no categories":
+            del rec["categories"]
+        elif damage == "obs not reshapable":
+            rec["obs"] = [1.0, 2.0, 3.0]
+        else:
+            rec = [rec]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n\n" + json.dumps(rec) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}, line 3: invalid canonical")):
+            read_canonical(path)
 
     def test_version_mismatch(self):
         line = sample_to_line(random_scene(np.random.default_rng(0)))
@@ -359,3 +406,79 @@ class TestCanonicalFormat:
         s.categories[0] = "hovercraft"
         with pytest.raises(DataError, match="hovercraft"):
             validate_sample(s)
+
+
+def ragged_tracks(rng, n_agents, n_frames):
+    """Tracks with random lifetimes, gaps, ids out of order, lane changes and
+    coordinates off any grid."""
+    from epg_mgcn.scene import AgentTrack
+    tracks = []
+    for aid in rng.permutation(4 * n_agents)[:n_agents]:
+        first = int(rng.integers(0, n_frames))
+        frames = np.arange(first, int(rng.integers(first, n_frames)) + 1)
+        keep = rng.random(len(frames)) < (0.8 if rng.random() < 0.3 else 1.0)
+        frames = frames[keep] if keep.any() else frames[:1]
+        start = rng.uniform(-25.0, 25.0, size=2)
+        velocity = rng.normal(scale=1.5, size=2) * (rng.random() < 0.8)
+        positions = start + frames[:, None] * velocity
+        lanes = rng.integers(0, 5) + np.cumsum(rng.random(len(frames)) < 0.1)
+        tracks.append(AgentTrack(int(aid), CATEGORIES[int(rng.integers(0, 4))],
+                                 frames, positions, lanes))
+    return tracks
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.agent_ids == b.agent_ids
+        assert a.categories == b.categories
+        assert a.frame_rate == b.frame_rate
+        for name in ("observed", "future", "ego_plan", "obs_mask", "fut_mask",
+                     "origin"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name
+
+
+class TestOracleEquivalence:
+    """The array windower against the per-item loop it replaced
+    (``tests/oracle_scene.py``)."""
+
+    @pytest.mark.parametrize("stride", [None, 1])
+    @pytest.mark.parametrize("rule", ["radius", "highway_band"])
+    @pytest.mark.parametrize("points", [(3, 2), (6, 6)])
+    def test_windower_matches_loop(self, rng, rule, stride, points):
+        cfg = DatasetConfig(t_obs_points=points[0], t_pred_frames=points[1],
+                            d_d=10.0, node_scope=1.5, neighborhood=rule,
+                            window_stride=stride)
+        total = 0
+        for _ in range(12):
+            tracks = ragged_tracks(rng, int(rng.integers(1, 15)),
+                                   int(rng.integers(5, 30)))
+            got = window_samples(tracks, cfg)
+            assert_same_samples(got, window_samples_loop(tracks, cfg))
+            total += len(got)
+            for ego_id in (tracks[0].agent_id, -1):
+                assert_same_samples(
+                    window_samples(tracks, cfg, "given_id", ego_id),
+                    window_samples_loop(tracks, cfg, "given_id", ego_id))
+        assert total > 0
+
+    @pytest.mark.parametrize("rule", ["radius", "highway_band"])
+    def test_windower_matches_loop_on_exact_boundaries(self, rule):
+        from epg_mgcn.scene import AgentTrack
+        cfg = DatasetConfig(t_obs_points=3, t_pred_frames=2, d_d=10.0,
+                            node_scope=1.5, neighborhood=rule)
+        # stationary, so every distance to the ego at (0, 0) is exact:
+        # reach 15 m, band HIGHWAY_BAND_METERS, lane differences 1 and 2
+        spots = [((0.0, 0.0), 3), ((9.0, 12.0), 4), ((-12.0, 9.0), 2),
+                 ((9.0, 12.000001), 3), ((0.0, HIGHWAY_BAND_METERS), 4),
+                 ((0.0, -HIGHWAY_BAND_METERS), 2), ((0.0, 1.0), 5)]
+        frames = np.arange(5)
+        tracks = [AgentTrack(aid, "vehicle", frames, np.tile(xy, (5, 1)),
+                             np.full(5, lane))
+                  for aid, (xy, lane) in enumerate(spots, start=1)]
+        got = window_samples(tracks, cfg, "given_id", 1)
+        assert_same_samples(got, window_samples_loop(tracks, cfg, "given_id", 1))
+        expect = [1, 2, 3, 7] if rule == "radius" else [1, 2, 3, 4, 5, 6]
+        assert got[0].agent_ids == expect
