@@ -11,7 +11,7 @@ deterministic reverse-mode core with a finite-difference verifier.
 __version__ = "0.1.0"
 
 from .autograd import GRUParams, Tensor, gru_cell
-from .gradcheck import GradCheckReport, finite_diff_check
+from .gradcheck import finite_diff_check
 from .graphs import (
     AdjacencySet,
     build_adjacency,
@@ -32,13 +32,12 @@ from .model import (
     prediction_loss,
     save_params,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .scene import (
     AgentTrack,
     DatasetConfig,
     Sample,
     ego_center,
-    ego_uncenter,
     load_trajectory_table,
     read_canonical,
     window_samples,
@@ -54,10 +53,7 @@ __all__ = [
     "GRUParams",
     "gru_cell",
     "Adam",
-    "AdamState",
-    "adam_step",
     "finite_diff_check",
-    "GradCheckReport",
     "AdjacencySet",
     "build_adjacency",
     "build_distance_graph",
@@ -72,7 +68,6 @@ __all__ = [
     "load_trajectory_table",
     "window_samples",
     "ego_center",
-    "ego_uncenter",
     "read_canonical",
     "write_canonical",
     "ModelConfig",

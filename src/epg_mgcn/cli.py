@@ -98,7 +98,7 @@ def _read_plans(path) -> dict:
 def cmd_prepare(args) -> int:
     config = DatasetConfig(
         t_obs_points=args.t_obs, t_pred_frames=args.t_pred, d_d=args.d_d,
-        beta_degrees=args.beta, neighborhood=args.neighborhood,
+        neighborhood=args.neighborhood,
         frame_rate=args.frame_rate, node_scope=args.node_scope,
         window_stride=args.stride,
     )
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-obs", type=int, default=6, dest="t_obs")
     p.add_argument("--t-pred", type=int, default=6, dest="t_pred")
     p.add_argument("--d-d", type=float, default=10.0, dest="d_d")
-    p.add_argument("--beta", type=float, default=20.0)
     p.add_argument("--neighborhood", choices=("radius", "highway_band"),
                    default="radius")
     p.add_argument("--frame-rate", type=float, default=2.0, dest="frame_rate")

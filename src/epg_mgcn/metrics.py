@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError
-from .model import ModelConfig, ModelParams, forward, prepare, supervised_mask
-from .scene import Sample, validate_sample
+from .errors import DataError
+from .model import ModelConfig, ModelParams, forward, prepare_each, supervised_mask
+from .scene import Sample
 
 __all__ = [
     "CATEGORY_WEIGHTS",
@@ -143,8 +143,8 @@ class MetricReport:
 
 def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
     """Predict every sample (prepared, on detached parameters) and aggregate
-    displacement errors over the supervised agents. A sample that breaks an
-    invariant raises DataError naming its index, as in ``train``.
+    displacement errors over the supervised agents. A sample that
+    ``prepare`` refuses raises its error naming its index, as in ``train``.
 
     Category means average per-agent ADE/FDE; WSADE/WSFDE are reported when
     all three weighted categories occur, which is skipped for vehicle-only
@@ -157,24 +157,17 @@ def evaluate(samples, config: ModelConfig, params: ModelParams) -> MetricReport:
     horizon_errs: dict = {}
     excluded = 0
     detached = params.detached()
-    for index, sample in enumerate(samples):
-        try:
-            validate_sample(sample)
-        except DataError as exc:
-            raise DataError(f"sample {index}: {exc}") from None
-        prepared = prepare(sample, config)
-        centered = prepared.sample
-        try:
-            pred = forward(prepared, config, detached).data
-        except DimensionError as exc:
-            raise DimensionError(f"sample {index}: {exc}") from None
-        sup = supervised_mask(centered, config)
-        errs = displacement_errors(pred, centered.future, centered.fut_mask)
+    # one prepared scene at a time
+    for prepared in prepare_each(samples, config):
+        sample = prepared.sample
+        pred = forward(prepared, config, detached).data
+        sup = supervised_mask(sample, config)
+        errs = displacement_errors(pred, sample.future, sample.fut_mask)
         decodable = np.array([c in config.categories_decoded
                               for c in sample.categories])
         decodable[Sample.EGO_INDEX] = False
         excluded += int((decodable & ~sup).sum())
-        horizon = fde_at_horizons(pred, centered.future, centered.fut_mask,
+        horizon = fde_at_horizons(pred, sample.future, sample.fut_mask,
                                   sample.frame_rate)
         for i in np.flatnonzero(sup & errs.valid):
             cat = sample.categories[i]

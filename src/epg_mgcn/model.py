@@ -27,9 +27,9 @@ import numpy as np
 from . import autograd as ag
 from . import graphs
 from .autograd import GRUParams, Tensor
-from .errors import DimensionError, FormatError, RoutingError, UsageError
+from .errors import DataError, DimensionError, FormatError, RoutingError, UsageError
 from .graphs import GRAPH_NAMES, AdjacencySet, build_adjacency, normalize_adjacency
-from .scene import CATEGORIES, Sample, ego_center
+from .scene import CATEGORIES, Sample, ego_center, validate_sample
 
 __all__ = [
     "ModelConfig",
@@ -43,6 +43,7 @@ __all__ = [
     "supervised_mask",
     "PreparedSample",
     "prepare",
+    "prepare_each",
     "replan",
     "forward",
     "predict",
@@ -414,18 +415,40 @@ class PreparedSample:
 
 def prepare(sample: Sample, config: ModelConfig,
             dtype=np.float64) -> PreparedSample:
-    """Cast ``sample`` to ``dtype``, ego-center it in that dtype and build
-    and normalize its graphs. The one place a sample becomes network input:
-    build it once per sample per run, and ``forward`` normalizes nothing."""
+    """Cast ``sample`` to ``dtype``, ego-center it in that dtype, check it,
+    and build and normalize its graphs. The one place a sample becomes
+    network input: build it once per sample per run, and ``forward``
+    normalizes nothing."""
     centered = ego_center(dataclasses.replace(sample, **{
         f: getattr(sample, f).astype(dtype)
         for f in ("observed", "future", "ego_plan")}))
-    return _prepared(centered, build_adjacency(centered, config.d_d,
-                                               config.beta_degrees), config)
+    return _prepared(centered, None, config)
 
 
-def _prepared(centered: Sample, adjacency: AdjacencySet,
+def prepare_each(samples, config: ModelConfig, dtype=np.float64):
+    """Yield :func:`prepare` of each sample in turn. A refused sample's
+    DataError or DimensionError names its index."""
+    for index, sample in enumerate(samples):
+        try:
+            prepared = prepare(sample, config, dtype)
+        except (DataError, DimensionError) as exc:
+            raise type(exc)(f"sample {index}: {exc}") from None
+        yield prepared
+
+
+def _prepared(centered: Sample, adjacency: AdjacencySet | None,
               config: ModelConfig) -> PreparedSample:
+    """Refuse a sample that breaks ``validate_sample`` (DataError) or the
+    config's frame counts (DimensionError); build its graphs unless given,
+    and normalize them."""
+    validate_sample(centered)
+    for what, got, want in (
+            ("observed points", centered.t_obs_points, config.t_obs_points),
+            ("future frames", centered.t_pred, config.t_pred)):
+        if got != want:
+            raise DimensionError(f"sample has {got} {what}, config expects {want}")
+    if adjacency is None:
+        adjacency = build_adjacency(centered, config.d_d, config.beta_degrees)
     dtype = centered.observed.dtype
     return PreparedSample(centered, adjacency, {
         g: normalize_adjacency(adjacency.get(g)).astype(dtype)
@@ -455,25 +478,16 @@ def forward(samples, config: ModelConfig, params: ModelParams,
     """Full network pass on one scene or a batch of them, returning the
     predicted trajectories (sum N, T_pred, 2) in each scene's ego-centered
     frame, the agents of the scenes in order. A scene is a
-    :class:`PreparedSample`, or an ego-centered ``Sample`` that is prepared
-    here in its own dtype from its raw ``AdjacencySet`` (one per sample,
-    built when not given). A batch gives each scene the rows it would get
-    on its own, up to rounding."""
+    :class:`PreparedSample`, or an ego-centered ``Sample`` that is checked
+    and prepared here in its own dtype from its raw ``AdjacencySet`` (one
+    per sample, built when not given). A batch gives each scene the rows it
+    would get on its own, up to rounding."""
     scenes = _scenes(samples)
     if not scenes:
         raise UsageError("forward() needs at least one sample")
-    for scene in scenes:
-        sample = scene.sample if isinstance(scene, PreparedSample) else scene
-        for what, got, want in (
-                ("observed points", sample.t_obs_points, config.t_obs_points),
-                ("future frames", sample.t_pred, config.t_pred)):
-            if got != want:
-                raise DimensionError(
-                    f"sample has {got} {what}, config expects {want}")
     if not all(isinstance(s, PreparedSample) for s in scenes):
         if adjacency is None:
-            adjacency = [build_adjacency(s, config.d_d, config.beta_degrees)
-                         for s in scenes]
+            adjacency = [None] * len(scenes)
         elif isinstance(adjacency, AdjacencySet):
             adjacency = [adjacency]
         if len(adjacency) != len(scenes):

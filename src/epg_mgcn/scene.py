@@ -35,7 +35,6 @@ __all__ = [
     "load_trajectory_table",
     "window_samples",
     "ego_center",
-    "ego_uncenter",
     "validate_sample",
     "write_canonical",
     "read_canonical",
@@ -76,7 +75,6 @@ class DatasetConfig:
     t_obs_points: int = 6
     t_pred_frames: int = 6
     d_d: float = 10.0
-    beta_degrees: float = 20.0
     neighborhood: str = "radius"  # "radius" | "highway_band"
     frame_rate: float = 2.0
     node_scope: float = 3.0
@@ -87,8 +85,8 @@ class DatasetConfig:
             raise DataError("t_obs_points must be >= 2 (motion needs two frames)")
         if self.t_pred_frames < 1:
             raise DataError("t_pred_frames must be >= 1")
-        if self.d_d <= 0 or self.beta_degrees <= 0:
-            raise DataError("thresholds must be positive")
+        if self.d_d <= 0:
+            raise DataError(f"d_d must be positive, got {self.d_d}")
         if self.neighborhood not in ("radius", "highway_band"):
             raise DataError(f"unknown neighborhood rule {self.neighborhood!r}")
         if self.frame_rate <= 0:
@@ -356,18 +354,10 @@ def ego_center(sample: Sample) -> Sample:
     return out
 
 
-def ego_uncenter(sample: Sample) -> Sample:
-    """Invert :func:`ego_center` using the stored origin offset."""
-    out = sample.copy()
-    out.observed += sample.origin
-    out.future += sample.origin
-    out.ego_plan += sample.origin
-    out.origin = np.zeros(2)
-    return out
-
-
 def validate_sample(sample: Sample) -> None:
-    """Raise DataError on any violated sample invariant."""
+    """Raise DataError on any violated sample invariant: the one definition
+    of a valid sample, enforced by ``model.prepare``, ``read_canonical``
+    and ``write_canonical``."""
     n, p = sample.observed.shape[:2]
     f = sample.future.shape[1]
     if sample.observed.shape != (n, p, 2) or sample.future.shape != (n, f, 2):
@@ -383,8 +373,8 @@ def validate_sample(sample: Sample) -> None:
     for c in sample.categories:
         if c not in CATEGORIES:
             raise DataError(f"unknown category {c!r}")
-    if not (np.isfinite(sample.observed).all() and np.isfinite(sample.future).all()
-            and np.isfinite(sample.ego_plan).all()):
+    if not all(np.isfinite(a).all() for a in (sample.observed, sample.future,
+                                              sample.ego_plan, sample.origin)):
         raise DataError("non-finite coordinates")
     if not sample.obs_mask[Sample.EGO_INDEX].all():
         raise DataError("ego must be fully observed")
@@ -450,7 +440,7 @@ def sample_from_line(line: str) -> Sample:
         )
     try:
         n = len(rec["categories"])
-        return Sample(
+        sample = Sample(
             # one shared str per known category, not one per agent and sample
             categories=[_CATEGORY_NAMES.get(c, c) for c in rec["categories"]],
             observed=np.asarray(rec["obs"], dtype=np.float64).reshape(n, -1, 2),
@@ -462,6 +452,8 @@ def sample_from_line(line: str) -> Sample:
             agent_ids=[int(a) for a in rec["agent_ids"]],
             origin=np.asarray(rec["origin"], dtype=np.float64),
         )
+        validate_sample(sample)  # its DataError is a ValueError, caught below
+        return sample
     except KeyError as exc:
         raise FormatError(f"invalid canonical record: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -469,13 +461,14 @@ def sample_from_line(line: str) -> Sample:
 
 
 def write_canonical(samples, path) -> None:
-    """Write one line per sample. A sample with a non-finite coordinate is
-    refused, naming its index, before the file is opened."""
+    """Write one line per sample. A sample that :func:`validate_sample`
+    refuses fails, naming its index, before the file is opened."""
     samples = list(samples)
     for i, s in enumerate(samples):
-        if not all(np.isfinite(a).all()
-                   for a in (s.observed, s.future, s.ego_plan, s.origin)):
-            raise DataError(f"sample {i}: non-finite coordinates")
+        try:
+            validate_sample(s)
+        except DataError as exc:
+            raise DataError(f"sample {i}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             fh.write(sample_to_line(sample))
@@ -483,8 +476,9 @@ def write_canonical(samples, path) -> None:
 
 
 def read_canonical(path) -> list[Sample]:
-    """Read a canonical file; a malformed record fails as FormatError naming
-    the path and its 1-based line."""
+    """Read a canonical file; a malformed record, or one that
+    :func:`validate_sample` refuses, fails as FormatError naming the path
+    and its 1-based line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -27,14 +27,14 @@ from .model import (
     ModelConfig,
     ModelParams,
     forward,
-    prepare,
     prediction_loss,
+    prepare_each,
     read_checkpoint,
     write_checkpoint,
 )
 from .optim import Adam
 # ego_center is unused: only the benchmark tracer patches it here (ROADMAP item 1)
-from .scene import ego_center, validate_sample
+from .scene import ego_center
 
 __all__ = [
     "TrainConfig",
@@ -161,11 +161,7 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         raise DataError("training dataset is empty")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise UsageError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    for i, s in enumerate(samples):
-        try:
-            validate_sample(s)
-        except DataError as exc:
-            raise DataError(f"sample {i}: {exc}") from None
+    prepared = list(prepare_each(samples, model_config, train_config.dtype))
 
     if resume is not None:
         checkpoint = read_checkpoint(resume, expected_config=model_config)
@@ -182,8 +178,6 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         optimizer = Adam(params.tensors, learning_rate=train_config.initial_lr)
         start_epoch = 0
         record = RunRecord()
-
-    prepared = [prepare(s, model_config, train_config.dtype) for s in samples]
 
     run_dir = Path(run_dir) if run_dir is not None else None
     if run_dir is not None:

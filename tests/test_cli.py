@@ -215,6 +215,24 @@ class TestInputErrors:
         assert code == 3
         assert f"{bad} is not an npz archive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["what-if", "render"])
+    def test_non_finite_record_is_data_error(self, tmp_path, trained, capsys,
+                                             command):
+        data, checkpoint = trained
+        rec = json.loads(data.read_text().splitlines()[0])
+        rec["obs"][2][0][0] = float("nan")
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text(json.dumps(rec) + "\n")
+        plans = tmp_path / "plans.json"
+        plans.write_text("{}")
+        extra = (["--plans", str(plans)] if command == "what-if"
+                 else ["--output", str(tmp_path / "scene.svg")])
+        code = main([command, "--data", str(bad), "--checkpoint",
+                     str(checkpoint)] + extra)
+        assert code == 3
+        assert f"{bad}, line 1: invalid canonical record: non-finite" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("text, named", [
         ('{"model": {"chanels": 4}}', "unknown model config field 'chanels'"),
         ('{"train": {"max_epoch": 1}}', "unknown train config field 'max_epoch'"),

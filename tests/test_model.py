@@ -12,7 +12,8 @@ import golden_model
 from conftest import make_sample, random_scene
 from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import Tensor
-from epg_mgcn.errors import FormatError, RoutingError, UsageError
+from epg_mgcn.errors import (DataError, DimensionError, FormatError, RoutingError,
+                             UsageError)
 from epg_mgcn.gradcheck import finite_diff_check
 from epg_mgcn.metrics import evaluate
 from epg_mgcn.graphs import GRAPH_NAMES, build_adjacency
@@ -28,11 +29,14 @@ from epg_mgcn.model import (
     graph_conv_block,
     load_params,
     param_specs,
+    predict,
     prediction_loss,
     save_params,
     supervised_mask,
 )
 from epg_mgcn.scene import ego_center
+from epg_mgcn.synthetic import make_synthetic_dataset
+from epg_mgcn.whatif import what_if
 
 
 def tiny_config(**kw):
@@ -476,6 +480,30 @@ class TestForward:
         veh_rows = [i for i, c in enumerate(s.categories) if c == "vehicle"]
         np.testing.assert_array_equal(moved[ped_rows], base[ped_rows])
         assert np.abs(moved[veh_rows] - base[veh_rows]).max() > 0
+
+
+class TestSampleGate:
+    """Every path from a Sample to network input checks it."""
+
+    @pytest.mark.parametrize("entry", ["predict", "what_if", "forward"])
+    def test_non_finite_neighbour_is_refused(self, entry):
+        sample = make_synthetic_dataset(3)[1]
+        sample.observed[2, 0, 0] = np.nan
+        cfg = ModelConfig(channels=8, t_obs_points=6, t_pred=6)
+        params = ModelParams.initialize(cfg, seed=0)
+        run = {"predict": lambda: predict(sample, cfg, params),
+               "what_if": lambda: what_if(sample, {"same": sample.ego_plan},
+                                          params, cfg),
+               "forward": lambda: forward(ego_center(sample), cfg, params)}
+        with pytest.raises(DataError, match="non-finite coordinates"):
+            run[entry]()
+
+    def test_raw_forward_checks_frame_counts(self, rng):
+        cfg = tiny_config(t_obs_points=6)
+        params = ModelParams.initialize(cfg, seed=0)
+        with pytest.raises(DimensionError,
+                           match="sample has 4 observed points, config expects 6"):
+            forward(ego_center(tiny_sample(rng)), cfg, params)
 
 
 class TestPredictionLoss:

@@ -1,6 +1,7 @@
 """Table parsing, windowing against a brute-force enumerator, ego-centering,
 and canonical round-trips."""
 
+import dataclasses
 import json
 import re
 
@@ -16,7 +17,6 @@ from epg_mgcn.scene import (
     HIGHWAY_BAND_METERS,
     DatasetConfig,
     ego_center,
-    ego_uncenter,
     load_trajectory_table,
     read_canonical,
     sample_from_line,
@@ -298,6 +298,38 @@ class TestWindowing:
         assert window_samples(tracks, self.config()) == []
 
 
+# a second valid value for every DatasetConfig field, against the base
+# config of test_every_field_changes_the_windows
+DATASET_ALTERNATIVES = {"t_obs_points": 4, "t_pred_frames": 4, "d_d": 20.0,
+                        "neighborhood": "highway_band", "frame_rate": 5.0,
+                        "node_scope": 2.0, "window_stride": 1}
+
+
+class TestDatasetConfig:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DatasetConfig)])
+    def test_every_field_changes_the_windows(self, name):
+        """A field that windowing never reads is a dead knob."""
+        assert name in DATASET_ALTERNATIVES, f"no second value for {name}"
+        # 15 m apart in one lane: beyond the 10 m radius, inside the band
+        tracks = linear_tracks([(1, "vehicle", (0, 0), (0, 1), 1),
+                                (2, "vehicle", (0, 15), (0, 1), 1)], 30)
+        base = DatasetConfig(t_obs_points=6, t_pred_frames=6, d_d=10.0,
+                             neighborhood="radius", frame_rate=2.0,
+                             node_scope=1.0, window_stride=None)
+        changed = dataclasses.replace(base, **{name: DATASET_ALTERNATIVES[name]})
+
+        def summary(samples):
+            return [(s.agent_ids, s.observed.shape, s.future.shape, s.frame_rate)
+                    for s in samples]
+
+        assert summary(window_samples(tracks, base)) != summary(
+            window_samples(tracks, changed))
+
+    def test_non_positive_d_d_is_named(self):
+        with pytest.raises(DataError, match="d_d must be positive, got 0"):
+            DatasetConfig(d_d=0.0)
+
+
 class TestEgoCenter:
     def test_last_observed_at_origin(self, rng):
         s = random_scene(rng)
@@ -315,10 +347,10 @@ class TestEgoCenter:
     def test_round_trip(self, rng):
         for _ in range(10):
             s = random_scene(rng)
-            back = ego_uncenter(ego_center(s))
-            np.testing.assert_allclose(back.observed, s.observed, atol=1e-12)
-            np.testing.assert_allclose(back.future, s.future, atol=1e-12)
-            np.testing.assert_allclose(back.ego_plan, s.ego_plan, atol=1e-12)
+            c = ego_center(s)
+            np.testing.assert_allclose(c.observed + c.origin, s.observed, atol=1e-12)
+            np.testing.assert_allclose(c.future + c.origin, s.future, atol=1e-12)
+            np.testing.assert_allclose(c.ego_plan + c.origin, s.ego_plan, atol=1e-12)
 
 
 class TestCanonicalFormat:
@@ -375,6 +407,24 @@ class TestCanonicalFormat:
             write_canonical(samples, path)
         assert not path.exists()
 
+    def test_partly_observed_ego_refused_before_writing(self, tmp_path, rng):
+        samples = [random_scene(rng) for _ in range(3)]
+        samples[1].obs_mask[0, 0] = False
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(DataError, match="sample 1: ego must be fully observed"):
+            write_canonical(samples, path)
+        assert not path.exists()
+
+    def test_non_finite_literal_names_path_and_line(self, tmp_path, rng):
+        rec = json.loads(sample_to_line(random_scene(rng)))
+        rec["obs"][0][0][0] = float("nan")
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        assert "NaN" in path.read_text()
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}, line 1: invalid canonical record: non-finite coordinates")):
+            read_canonical(path)
+
     @pytest.mark.parametrize("damage", ["no categories", "obs not reshapable",
                                         "not an object"])
     def test_malformed_record_names_path_and_line(self, tmp_path, rng, damage):
@@ -400,6 +450,12 @@ class TestCanonicalFormat:
     def test_validator_over_generated_fixtures(self, rng):
         for _ in range(25):
             validate_sample(random_scene(rng))
+
+    def test_validator_rejects_non_finite_origin(self, rng):
+        s = random_scene(rng)
+        s.origin = np.array([0.0, np.inf])
+        with pytest.raises(DataError, match="non-finite coordinates"):
+            validate_sample(s)
 
     def test_validator_rejects_bad_category(self, rng):
         s = random_scene(rng)

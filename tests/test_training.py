@@ -96,6 +96,15 @@ class TestTrainLoop:
             train(samples, small_model(), small_train(max_epochs=1))
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    def test_coordinate_beyond_float32_names_the_sample(self):
+        # finite in float64, inf once cast: refused before any epoch runs
+        samples = make_synthetic_dataset(3)
+        samples[2].observed[1, 0, 0] = 1e39
+        with pytest.raises(DataError, match="sample 2: non-finite coordinates"):
+            train(samples, small_model(),
+                  small_train(max_epochs=1, precision="single"))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_aborts_with_coordinates(self):
         samples = make_synthetic_dataset(2)
         bad = samples[0]
