@@ -90,13 +90,12 @@ class AblationTable:
 
 
 def run_ablation(samples, base_config: ModelConfig, train_config: TrainConfig,
-                 eval_samples=None, progress=None) -> AblationTable:
-    """Train and evaluate all six rows with the shared seed.
+                 progress=None) -> AblationTable:
+    """Train all six rows with the shared seed and score each on the
+    training samples (desk-scale smoke usage).
 
     A failing row is recorded with its error and does not stop the ladder.
-    Evaluation defaults to the training samples (desk-scale smoke usage).
     """
-    eval_samples = samples if eval_samples is None else eval_samples
     table = AblationTable()
     for label, config in ablation_configs(base_config):
         row = AblationRow(
@@ -109,7 +108,7 @@ def run_ablation(samples, base_config: ModelConfig, train_config: TrainConfig,
         )
         try:
             result = train(samples, config, train_config)
-            report = evaluate(eval_samples, config, result.params)
+            report = evaluate(samples, config, result.params)
             row.wsade = report.wsade
         except Exception as exc:  # keep the remaining rows running
             row.error = f"{type(exc).__name__}: {exc}"

@@ -4,9 +4,9 @@ Holds only the primitives the prediction network calls: elementwise
 ``add``, ``sub``, ``mul`` and ``relu`` (with numpy broadcasting), a full
 ``tsum``, ``reshape``, indexing, ``stack`` and ``concat``, the
 block-diagonal product of the spatial mixing, same-padded temporal
-convolution, per-position channel mixing over the last axis (1x1
-convolution), and a GRU cell. Composed ops that only test oracles use live
-with the tests.
+convolution (without a bias: the graph-conv blocks use none), per-position
+channel mixing over the last axis (1x1 convolution), and a GRU cell.
+Composed ops that only test oracles use live with the tests.
 Tensors wrap contiguous numpy arrays; every operation is deterministic and
 the backward pass visits nodes in reverse topological order, so identical
 inputs give bitwise-identical outputs and gradients.
@@ -396,7 +396,7 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def temporal_conv(x, kernel, bias=None) -> Tensor:
+def temporal_conv(x, kernel) -> Tensor:
     """Same-padded convolution over the time axis of time-major features.
 
     ``x`` has shape (N, T, C_in) and ``kernel`` (C_out, C_in, K) with K odd;
@@ -433,15 +433,6 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
     for j, lo, hi, s in taps:
         if j != pad:
             out_data[:, lo:hi] += taps_out[:, lo + s : hi + s, j]
-    parents = [x, kernel]
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise DimensionError(
-                f"temporal_conv: bias shape {bias.shape} != ({c_out},)"
-            )
-        out_data += bias.data
-        parents.append(bias)
 
     def backward(g):
         g_taps = np.zeros((n, t, k, c_out), dtype=g.dtype)
@@ -453,10 +444,8 @@ def temporal_conv(x, kernel, bias=None) -> Tensor:
         if kernel.requires_grad:
             gw = x.data.reshape(n * t, c_in).T @ g_taps
             kernel._accumulate(gw.reshape(c_in, k, c_out).transpose(2, 0, 1))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 1)))
 
-    return _make(out_data, parents, backward)
+    return _make(out_data, [x, kernel], backward)
 
 
 def channel_mix(x, weight, bias=None) -> Tensor:

@@ -35,10 +35,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
 
-    def worst(self) -> tuple[str, float]:
-        name = max(self.per_parameter, key=self.per_parameter.get)
-        return name, self.per_parameter[name]
-
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lines = [f"gradient check: {status} "

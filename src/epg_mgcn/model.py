@@ -415,14 +415,15 @@ class PreparedSample:
 
 def prepare(sample: Sample, config: ModelConfig,
             dtype=np.float64) -> PreparedSample:
-    """Cast ``sample`` to ``dtype``, ego-center it in that dtype, check it,
-    and build and normalize its graphs. The one place a sample becomes
-    network input: build it once per sample per run, and ``forward``
-    normalizes nothing."""
-    centered = ego_center(dataclasses.replace(sample, **{
+    """Cast ``sample`` to ``dtype``, check it, ego-center it in that dtype,
+    check it again (centering can overflow), and build and normalize its
+    graphs. The one place a sample becomes network input: build it once per
+    sample per run, and ``forward`` normalizes nothing."""
+    cast = dataclasses.replace(sample, **{
         f: getattr(sample, f).astype(dtype)
-        for f in ("observed", "future", "ego_plan")}))
-    return _prepared(centered, None, config)
+        for f in ("observed", "future", "ego_plan")})
+    validate_sample(cast)  # ego_center reads the ego's last observed point
+    return _prepared(ego_center(cast), None, config)
 
 
 def prepare_each(samples, config: ModelConfig, dtype=np.float64):
@@ -457,12 +458,19 @@ def _prepared(centered: Sample, adjacency: AdjacencySet | None,
 
 def replan(prepared: PreparedSample, ego_plan,
            config: ModelConfig) -> PreparedSample:
-    """``prepared`` under another ego plan, given in its ego-centered frame.
+    """``prepared`` under another ego plan, given in the sample's original
+    frame; a plan that is not (t_pred, 2) or not finite is a UsageError.
     Only the planning graph depends on the plan, so only it is re-made, raw
     and normalized; the other graphs are shared with ``prepared``."""
+    plan = np.asarray(ego_plan, dtype=np.float64)
+    if plan.shape != (config.t_pred, 2):
+        raise UsageError(f"plan has shape {plan.shape}, "
+                         f"expected ({config.t_pred}, 2)")
+    if not np.isfinite(plan).all():
+        raise UsageError("plan has a non-finite entry")
     dtype = prepared.sample.observed.dtype
-    sample = dataclasses.replace(prepared.sample,
-                                 ego_plan=np.asarray(ego_plan, dtype=dtype))
+    sample = dataclasses.replace(
+        prepared.sample, ego_plan=(plan - prepared.sample.origin).astype(dtype))
     # looked up in ``graphs`` at call time, as ``build_adjacency`` does, so
     # a wrapper installed there (the benchmark's tracer) sees every plan
     planning = graphs.build_planning_graph(sample, config.beta_degrees)
@@ -586,12 +594,14 @@ def read_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     and shapes against the configuration recorded in the file (or
     ``expected_config`` if given, which must then equal the recorded one in
     every field). A file that is not such an archive fails as FormatError."""
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            stored = {k: archive[k] for k in archive.files}
-    # TypeError: a bare .npy file loads as an array, which has no ``with``
-    except (zipfile.BadZipFile, EOFError, ValueError, TypeError) as exc:
-        raise FormatError(f"{path} is not an npz archive: {exc}") from None
+    # opened here so that the file closes even when np.load fails on it
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                stored = {k: archive[k] for k in archive.files}
+        # TypeError: a bare .npy file loads as an array, which has no ``with``
+        except (zipfile.BadZipFile, EOFError, ValueError, TypeError) as exc:
+            raise FormatError(f"{path} is not an npz archive: {exc}") from None
     try:
         meta = json.loads(str(stored.pop("__meta__")))
         version = meta["checkpoint_version"]

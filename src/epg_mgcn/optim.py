@@ -1,72 +1,40 @@
 """First-order training: Adam with bias correction.
 
-The update is the standard one; ``adam_step`` is the functional core so the
-scalar trace of a hand-rolled reference can be compared element by element,
-and :class:`Adam` wraps it for a named parameter set.
+The update is the standard one at the Kingma & Ba (2015) constants
+``BETA1``, ``BETA2`` and ``EPSILON``; only the learning rate varies (the
+trainer drives it from the decay schedule). :class:`Adam` holds the step
+counter and the moment buffers of a named parameter set as plain
+attributes, which the trainer checkpoint records and restores.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autograd import Tensor
 from .errors import UsageError
 
-__all__ = ["AdamState", "Adam", "adam_step"]
+__all__ = ["BETA1", "BETA2", "EPSILON", "Adam"]
 
-
-def adam_step(value, grad, m, v, step_count, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update on raw arrays.
-
-    ``step_count`` is the index of the step being taken (1 for the first).
-    Returns (new_value, new_m, new_v); inputs are not modified.
-    """
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step_count)
-    v_hat = v / (1.0 - beta2**step_count)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
-
-
-@dataclass
-class AdamState:
-    """Per-parameter moment buffers plus the shared step counter."""
-
-    step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    learning_rate: float = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class Adam:
     """Adam over a name -> Tensor parameter mapping.
 
-    Deterministic: identical parameters, gradients, and state produce
-    identical updates. ``learning_rate`` may be reassigned between steps
-    (the trainer drives it from the decay schedule).
+    Deterministic: identical parameters, gradients, moments and step count
+    produce identical updates. ``learning_rate`` may be reassigned between
+    steps; ``step_count`` is the number of steps taken.
     """
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
         self.params = params
-        self.state = AdamState(
-            beta1=beta1, beta2=beta2, epsilon=epsilon, learning_rate=learning_rate,
-            first_moment={k: np.zeros_like(p.data) for k, p in params.items()},
-            second_moment={k: np.zeros_like(p.data) for k, p in params.items()},
-        )
-
-    @property
-    def learning_rate(self) -> float:
-        return self.state.learning_rate
-
-    @learning_rate.setter
-    def learning_rate(self, value: float) -> None:
-        self.state.learning_rate = value
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.first_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.second_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -74,12 +42,14 @@ class Adam:
 
     def step(self) -> None:
         """Apply one update; every parameter must carry a gradient."""
-        s = self.state
-        s.step_count += 1
+        self.step_count += 1
         for name, p in self.params.items():
             if p.grad is None:
                 raise UsageError(f"parameter '{name}' has no gradient")
-            p.data, s.first_moment[name], s.second_moment[name] = adam_step(
-                p.data, p.grad, s.first_moment[name], s.second_moment[name],
-                s.step_count, s.learning_rate, s.beta1, s.beta2, s.epsilon,
-            )
+            grad = p.grad
+            m = BETA1 * self.first_moment[name] + (1.0 - BETA1) * grad
+            v = BETA2 * self.second_moment[name] + (1.0 - BETA2) * grad * grad
+            m_hat = m / (1.0 - BETA1**self.step_count)
+            v_hat = v / (1.0 - BETA2**self.step_count)
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+            self.first_moment[name], self.second_moment[name] = m, v

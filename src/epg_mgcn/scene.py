@@ -362,6 +362,8 @@ def validate_sample(sample: Sample) -> None:
     f = sample.future.shape[1]
     if sample.observed.shape != (n, p, 2) or sample.future.shape != (n, f, 2):
         raise DataError("observed/future must be (N, T, 2)")
+    if n == 0:
+        raise DataError("sample has no agents")
     if sample.ego_plan.shape != (f, 2):
         raise DataError(
             f"ego_plan shape {sample.ego_plan.shape} != ({f}, 2)"

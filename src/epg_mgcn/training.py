@@ -32,7 +32,7 @@ from .model import (
     read_checkpoint,
     write_checkpoint,
 )
-from .optim import Adam
+from .optim import BETA1, BETA2, EPSILON, Adam
 # ego_center is unused: only the benchmark tracer patches it here (ROADMAP item 1)
 from .scene import ego_center
 
@@ -46,7 +46,6 @@ __all__ = [
     "checkpoint_save",
     "checkpoint_load",
     "write_run_record",
-    "read_run_record",
 ]
 
 
@@ -236,16 +235,12 @@ def checkpoint_save(path, params: ModelParams, optimizer: Adam,
                     train_config: TrainConfig | None = None) -> None:
     """Write parameters with the optimizer state, the shuffle stream, the
     loss trace and, when given, the train config a resume must match."""
-    state = optimizer.state
     trainer = {
         "epoch_count": epoch_count,
         "rng_state": rng.bit_generator.state,
         "adam": {
-            "step_count": state.step_count,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "epsilon": state.epsilon,
-            "learning_rate": state.learning_rate,
+            "step_count": optimizer.step_count,
+            "learning_rate": optimizer.learning_rate,
         },
         "records": [
             [e.epoch, e.mean_loss, e.learning_rate, e.seconds]
@@ -254,7 +249,7 @@ def checkpoint_save(path, params: ModelParams, optimizer: Adam,
         "train_config": None if train_config is None else train_config.to_dict(),
     }
     write_checkpoint(path, Checkpoint(
-        params, trainer, (state.first_moment, state.second_moment)))
+        params, trainer, (optimizer.first_moment, optimizer.second_moment)))
 
 
 def checkpoint_load(path, expected_config: ModelConfig | None = None):
@@ -269,11 +264,15 @@ def _restore(checkpoint: Checkpoint, path):
     meta = checkpoint.trainer
     params = checkpoint.params
     adam_meta = meta["adam"]
-    optimizer = Adam(params.tensors, learning_rate=adam_meta["learning_rate"],
-                     beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
-                     epsilon=adam_meta["epsilon"])
-    optimizer.state.step_count = int(adam_meta["step_count"])
-    optimizer.state.first_moment, optimizer.state.second_moment = checkpoint.moments
+    # files written before Adam's constants were fixed also record them
+    for key, constant in (("beta1", BETA1), ("beta2", BETA2),
+                          ("epsilon", EPSILON)):
+        if adam_meta.get(key, constant) != constant:
+            raise FormatError(f"{path}: checkpoint Adam field '{key}' is "
+                              f"{adam_meta[key]!r}, expected {constant!r}")
+    optimizer = Adam(params.tensors, learning_rate=adam_meta["learning_rate"])
+    optimizer.step_count = int(adam_meta["step_count"])
+    optimizer.first_moment, optimizer.second_moment = checkpoint.moments
 
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
@@ -296,15 +295,3 @@ def write_run_record(record: RunRecord, path) -> None:
                 "seconds": round(e.seconds, 6),
             }, separators=(",", ":")))
             fh.write("\n")
-
-
-def read_run_record(path) -> RunRecord:
-    record = RunRecord()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            record.append(EpochRecord(int(rec["epoch"]), float(rec["loss"]),
-                                      float(rec["lr"]), float(rec["seconds"])))
-    return record

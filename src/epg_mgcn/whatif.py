@@ -30,43 +30,38 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
             config: ModelConfig):
     """Run the base plan and every named alternative.
 
-    Each plan is (t_pred, 2) in the sample's original frame. The sample is
-    prepared once, and each further distinct plan re-makes only the
-    planning graph (:func:`replan`). The distinct plans (the base first) run
-    as one batch, one scene each; a plan equal to another, bit for bit,
-    reuses that plan's rows, so an alternative equal to the base plan
-    diverges by exactly zero. Returns (base result, [alternative results]);
-    divergence is per-agent Frobenius distance between predicted
-    trajectories.
+    Each plan is (t_pred, 2) in the sample's original frame, as
+    :func:`replan` checks. The sample is prepared once, and each further
+    distinct plan re-makes only the planning graph. The distinct plans (the
+    base first) run as one batch, one scene each; a plan equal to another
+    in that frame, bit for bit, reuses that plan's rows, so an alternative
+    equal to the base plan diverges by exactly zero. Returns (base result,
+    [alternative results]); divergence is per-agent Frobenius distance
+    between predicted trajectories.
     """
-    plans = {name: np.asarray(plan, dtype=np.float64)
-             for name, plan in alternative_plans.items()}
-    for name, plan in plans.items():
-        if plan.shape != (sample.t_pred, 2):
-            raise UsageError(f"plan '{name}' has shape {plan.shape}, "
-                             f"expected ({sample.t_pred}, 2)")
-        if not np.isfinite(plan).all():
-            raise UsageError(f"plan '{name}' has a non-finite entry")
     base = prepare(sample, config)
-    origin = base.sample.origin
-    named = [("base", base.sample.ego_plan)]
-    named += [(name, plan - origin) for name, plan in plans.items()]
-    slot = {}  # plan bytes -> scene index in the batch
-    scenes, position = [], []
-    for _, plan in named:
-        key = np.asarray(plan, dtype=np.float64).tobytes()
+    slot = {}  # shape and bytes of a plan in the original frame -> scene index
+    scenes, named = [], []
+    base_plan = sample.ego_plan + sample.origin
+    for name, plan in [("base", base_plan), *alternative_plans.items()]:
+        plan = np.asarray(plan, dtype=np.float64)
+        key = (plan.shape, plan.tobytes())
         if key not in slot:
             slot[key] = len(scenes)
-            scenes.append(replan(base, plan, config) if scenes else base)
-        position.append(slot[key])
+            try:
+                scenes.append(replan(base, plan, config) if scenes else base)
+            except UsageError as exc:  # name the plan in replan's message
+                raise UsageError(
+                    str(exc).replace("plan", f"plan '{name}'", 1)) from None
+        named.append((name, slot[key]))
     # no gradient leaves a what-if run, and at large N the tape of every
     # plan of the batch costs more than the products it would serve
     out = forward(scenes, config, params.detached()).data
     preds = (out.reshape(len(scenes), sample.n_agents, config.t_pred, 2)
-             + origin)
+             + base.sample.origin)
 
     results = []
-    for (name, _), k in zip(named, position):
+    for name, k in named:
         delta = preds[k] - preds[0]
         results.append(WhatIfResult(
             name=name,

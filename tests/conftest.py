@@ -31,6 +31,14 @@ def make_sample(observed, categories, future=None, plan=None, obs_mask=None,
     )
 
 
+def without_agents(sample):
+    """``sample`` with every agent row dropped, the ego's included."""
+    return Sample(categories=[], observed=sample.observed[:0],
+                  future=sample.future[:0], ego_plan=sample.ego_plan.copy(),
+                  obs_mask=sample.obs_mask[:0], fut_mask=sample.fut_mask[:0],
+                  frame_rate=sample.frame_rate)
+
+
 def random_scene(rng, n_max=20, t_obs=4, t_pred=5, degenerate=True):
     """A random but valid scene: linear motion with optional stationary
     agents and partially observed neighbors.

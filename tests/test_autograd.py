@@ -162,19 +162,18 @@ class TestTemporalConv:
         n, ci, co, t, k = 3, 2, 4, 7, 3
         x = rng.normal(size=(n, t, ci))
         kernel = rng.normal(size=(co, ci, k))
-        bias = rng.normal(size=co)
         pad = k // 2
         xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
         expected = np.zeros((n, t, co))
         for b in range(n):
             for o in range(co):
                 for tt in range(t):
-                    acc = bias[o]
+                    acc = 0.0
                     for i in range(ci):
                         for j in range(k):
                             acc += kernel[o, i, j] * xp[b, tt + j, i]
                     expected[b, tt, o] = acc
-        out = ag.temporal_conv(Tensor(x), Tensor(kernel), Tensor(bias))
+        out = ag.temporal_conv(Tensor(x), Tensor(kernel))
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
 
     def test_channel_mismatch(self):
@@ -193,12 +192,10 @@ class TestTemporalConv:
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         kernel = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
-        bias = Tensor(rng.normal(size=4), requires_grad=True)
         loss = lambda: ag.tsum(
-            ag.mul(ag.temporal_conv(x, kernel, bias),
-                   ag.temporal_conv(x, kernel, bias))
+            ag.mul(ag.temporal_conv(x, kernel), ag.temporal_conv(x, kernel))
         )
-        report = finite_diff_check(loss, {"x": x, "k": kernel, "b": bias},
+        report = finite_diff_check(loss, {"x": x, "k": kernel},
                                    epsilon=1e-6, tolerance=1e-7)
         assert report.passed, report.summary()
 
@@ -327,7 +324,9 @@ def max_relative_error(actual, expected):
 class TestTemporalConvMatchesPerTapOracle:
     """The time-major tap-product lowering against the per-tap einsum
     path; the subclass below repeats every case against the channel-major
-    im2col node that this lowering replaced."""
+    im2col node that this lowering replaced. A ``with_bias`` case adds a
+    per-channel bias after the convolution as a broadcast ``add`` node,
+    which the oracles fold into their own convolution."""
 
     oracle = staticmethod(per_tap_temporal_conv)
 
@@ -341,7 +340,9 @@ class TestTemporalConvMatchesPerTapOracle:
         xt = Tensor(x, requires_grad=True)
         kt = Tensor(kernel, requires_grad=True)
         bt = Tensor(bias, requires_grad=True) if with_bias else None
-        out = ag.temporal_conv(xt, kt, bt)
+        out = ag.temporal_conv(xt, kt)
+        if with_bias:
+            out = ag.add(out, bt)
         ag.tsum(ag.mul(out, g)).backward()
         actual = (out.data, xt.grad, kt.grad, bt.grad if with_bias else None)
         return actual, self.oracle(x, kernel, bias, g)

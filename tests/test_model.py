@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import golden_model
-from conftest import make_sample, random_scene
+from conftest import make_sample, random_scene, without_agents
 from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import Tensor
 from epg_mgcn.errors import (DataError, DimensionError, FormatError, RoutingError,
@@ -31,6 +31,8 @@ from epg_mgcn.model import (
     param_specs,
     predict,
     prediction_loss,
+    prepare,
+    replan,
     save_params,
     supervised_mask,
 )
@@ -497,6 +499,32 @@ class TestSampleGate:
                "forward": lambda: forward(ego_center(sample), cfg, params)}
         with pytest.raises(DataError, match="non-finite coordinates"):
             run[entry]()
+
+    @pytest.mark.parametrize("entry", ["prepare", "predict"])
+    def test_sample_without_agents_is_refused(self, entry):
+        sample = without_agents(make_synthetic_dataset(1)[0])
+        cfg = ModelConfig(channels=8, t_obs_points=6, t_pred=6)
+        params = ModelParams.initialize(cfg, seed=0)
+        run = {"prepare": lambda: prepare(sample, cfg),
+               "predict": lambda: predict(sample, cfg, params)}
+        with pytest.raises(DataError, match="sample has no agents"):
+            run[entry]()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (6, 1), (12,)])
+    def test_replan_refuses_plan_of_wrong_shape(self, shape):
+        cfg = ModelConfig(channels=8, t_obs_points=6, t_pred=6)
+        base = prepare(make_synthetic_dataset(1)[0], cfg)
+        with pytest.raises(UsageError, match=re.escape(
+                f"plan has shape {shape}, expected (6, 2)")):
+            replan(base, np.zeros(shape), cfg)
+
+    def test_replan_refuses_non_finite_plan(self):
+        sample = make_synthetic_dataset(1)[0]
+        cfg = ModelConfig(channels=8, t_obs_points=6, t_pred=6)
+        plan = sample.ego_plan.copy()
+        plan[3, 0] = np.nan
+        with pytest.raises(UsageError, match="plan has a non-finite entry"):
+            replan(prepare(sample, cfg), plan, cfg)
 
     def test_raw_forward_checks_frame_counts(self, rng):
         cfg = tiny_config(t_obs_points=6)

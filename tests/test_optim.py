@@ -71,4 +71,4 @@ def test_three_step_trace_on_quadratic():
         p.grad = 2.0 * p.data
         opt.step()
         np.testing.assert_allclose(p.data[0], trace[t], atol=1e-9, rtol=0)
-    assert opt.state.step_count == 3
+    assert opt.step_count == 3

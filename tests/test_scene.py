@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_scene
+from conftest import random_scene, without_agents
 from oracle_scene import window_samples_loop
 from epg_mgcn.errors import DataError, FormatError, ParseError
 from epg_mgcn.scene import (
@@ -456,6 +456,17 @@ class TestCanonicalFormat:
         s.origin = np.array([0.0, np.inf])
         with pytest.raises(DataError, match="non-finite coordinates"):
             validate_sample(s)
+
+    def test_validator_rejects_sample_without_agents(self, rng):
+        with pytest.raises(DataError, match="sample has no agents"):
+            validate_sample(without_agents(random_scene(rng)))
+
+    def test_sample_without_agents_refused_before_writing(self, tmp_path, rng):
+        samples = [random_scene(rng), without_agents(random_scene(rng))]
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(DataError, match="sample 1: sample has no agents"):
+            write_canonical(samples, path)
+        assert not path.exists()
 
     def test_validator_rejects_bad_category(self, rng):
         s = random_scene(rng)

@@ -1,6 +1,8 @@
 """Trainer: schedule closed form, determinism, checkpoint resume, and a
 smoke check that loss decreases on the synthetic set."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from epg_mgcn.training import (
     checkpoint_load,
     checkpoint_save,
     lr_at,
-    read_run_record,
     train,
     write_run_record,
 )
@@ -117,8 +118,8 @@ class TestTrainLoop:
         samples = make_synthetic_dataset(3)
         real_conv = ag.temporal_conv
 
-        def conv_with_poisoned_kernel_grad(x, kernel, bias=None):
-            out = real_conv(x, kernel, bias)
+        def conv_with_poisoned_kernel_grad(x, kernel):
+            out = real_conv(x, kernel)
             backward = out._backward
 
             def poisoned(g):
@@ -150,8 +151,8 @@ class TestTrainLoop:
         samples = make_synthetic_dataset(3)
         real_conv = ag.temporal_conv
 
-        def conv_with_poisoned_kernel_grad(x, kernel, bias=None):
-            out = real_conv(x, kernel, bias)
+        def conv_with_poisoned_kernel_grad(x, kernel):
+            out = real_conv(x, kernel)
             backward = out._backward
 
             def poisoned(g):
@@ -176,6 +177,17 @@ class TestTrainLoop:
         assert losses[-1] < losses[0]
 
 
+def record_adam_fields(path, **fields):
+    """Add ``fields`` to the Adam record in a trainer checkpoint's
+    ``__meta__``, the layout of files written while Adam's beta1, beta2
+    and epsilon were settable."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    meta["trainer"]["adam"].update(fields)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
 class TestCheckpointResume:
     def test_round_trip_bitwise(self, tmp_path):
         samples = make_synthetic_dataset(3)
@@ -187,9 +199,9 @@ class TestCheckpointResume:
         assert epochs == 3
         for name in result.params.names():
             assert params[name].data.tobytes() == result.params[name].data.tobytes()
-            assert optimizer.state.first_moment[name].tobytes() == \
-                result.optimizer.state.first_moment[name].tobytes()
-        assert optimizer.state.step_count == result.optimizer.state.step_count
+            assert optimizer.first_moment[name].tobytes() == \
+                result.optimizer.first_moment[name].tobytes()
+        assert optimizer.step_count == result.optimizer.step_count
         assert rng.bit_generator.state == result.rng.bit_generator.state
         assert record.losses() == result.record.losses()
 
@@ -209,6 +221,36 @@ class TestCheckpointResume:
         for name in full.params.names():
             assert resumed.params[name].data.tobytes() == \
                 full.params[name].data.tobytes()
+
+    def test_resume_from_file_recording_adam_constants(self, tmp_path):
+        samples = make_synthetic_dataset(4)
+        model = small_model()
+        full = train(samples, model, small_train(batch_size=2, max_epochs=6))
+
+        part = train(samples, model, small_train(batch_size=2, max_epochs=3))
+        path = tmp_path / "ckpt.npz"
+        checkpoint_save(path, part.params, part.optimizer, part.rng, 3,
+                        part.record)
+        record_adam_fields(path, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        resumed = train(samples, model, small_train(batch_size=2, max_epochs=6),
+                        resume=path)
+        assert np.array(resumed.record.losses()).tobytes() == \
+            np.array(full.record.losses()).tobytes()
+        for name in full.params.names():
+            assert resumed.params[name].data.tobytes() == \
+                full.params[name].data.tobytes()
+
+    def test_other_adam_constant_names_field(self, tmp_path):
+        samples = make_synthetic_dataset(2)
+        result = train(samples, small_model(), small_train(max_epochs=1))
+        path = tmp_path / "ckpt.npz"
+        checkpoint_save(path, result.params, result.optimizer, result.rng,
+                        1, result.record)
+        record_adam_fields(path, beta1=0.8, beta2=0.999, epsilon=1e-8)
+        with pytest.raises(FormatError, match="'beta1' is 0.8, expected 0.9"):
+            checkpoint_load(path)
+        with pytest.raises(FormatError, match="beta1"):
+            train(samples, small_model(), small_train(max_epochs=2), resume=path)
 
     def test_mismatched_config_names_parameter(self, tmp_path):
         samples = make_synthetic_dataset(2)
@@ -259,9 +301,11 @@ class TestCheckpointResume:
         record.append(EpochRecord(1, 0.75, 0.001, 0.4))
         path = tmp_path / "record.jsonl"
         write_run_record(record, path)
-        back = read_run_record(path)
-        assert back.losses() == record.losses()
-        assert back.epochs[1].learning_rate == 0.001
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["epoch"] for line in lines] == [0, 1]
+        assert [float(line["loss"]) for line in lines] == record.losses()
+        assert float(lines[1]["lr"]) == 0.001
+        assert lines[1]["seconds"] == 0.4
 
     def test_load_params_reads_trainer_checkpoint_bitwise(self, tmp_path):
         samples = make_synthetic_dataset(2)

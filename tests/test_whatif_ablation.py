@@ -1,6 +1,8 @@
 """What-if prediction under alternative plans and the six-row ablation
 ladder on the synthetic set."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,16 @@ class TestWhatIf:
         params = ModelParams.initialize(cfg, seed=1)
         with pytest.raises(UsageError, match="shape"):
             what_if(sample, {"short": np.zeros((2, 2))}, params, cfg)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (6, 3), ()])
+    def test_plan_of_other_shape_is_rejected_by_name(self, shape):
+        sample = make_synthetic_dataset(1)[0]
+        cfg = full_config()
+        params = ModelParams.initialize(cfg, seed=1)
+        with pytest.raises(UsageError, match=re.escape(
+                f"plan 'odd' has shape {shape}, expected (6, 2)")):
+            what_if(sample, {"ok": sample.ego_plan.copy(),
+                             "odd": np.ones(shape)}, params, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_plan_rejected(self, bad):
