@@ -481,6 +481,22 @@ def replan(prepared: PreparedSample, ego_plan,
         prepared.adjacency, planning=planning), normalized)
 
 
+def _firsts(keys) -> list:
+    """For each item, the index of the first item with the same key."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def _take(x: Tensor, sizes, firsts, wanted) -> Tensor:
+    """Rows of the scenes ``wanted`` from ``x``, which holds the rows of each
+    distinct scene of ``firsts`` in order; ``x`` itself when those agree."""
+    run = sorted(set(firsts))
+    if [firsts[i] for i in wanted] == run:
+        return x
+    starts = dict(zip(run, np.cumsum([0] + [sizes[i] for i in run])))
+    return x[np.concatenate([starts[firsts[i]] + np.arange(sizes[i]) for i in wanted])]
+
+
 def forward(samples, config: ModelConfig, params: ModelParams,
             adjacency=None) -> Tensor:
     """Full network pass on one scene or a batch of them, returning the
@@ -489,7 +505,11 @@ def forward(samples, config: ModelConfig, params: ModelParams,
     :class:`PreparedSample`, or an ego-centered ``Sample`` that is checked
     and prepared here in its own dtype from its raw ``AdjacencySet`` (one
     per sample, built when not given). A batch gives each scene the rows it
-    would get on its own, up to rounding."""
+    would get on its own, up to rounding.
+
+    Each part runs once per distinct input, by identity (the embedding per
+    ``observed`` and ``obs_mask``, branch ``g`` also per ``normalized[g]``),
+    so scenes from :func:`replan` share all but the planning branch."""
     scenes = _scenes(samples)
     if not scenes:
         raise UsageError("forward() needs at least one sample")
@@ -505,19 +525,22 @@ def forward(samples, config: ModelConfig, params: ModelParams,
     elif adjacency is not None:
         raise UsageError("prepared scenes carry their own graphs")
     samples = [p.sample for p in scenes]
-    z = embed_inputs(samples, params, config)
-    branch_outputs = [
-        _branch(z, [p.normalized[g] for p in scenes], params, g, config)
-        for g in config.branch_order
-    ]
+    sizes = [s.n_agents for s in samples]
+    embed_of = _firsts([(id(s.observed), id(s.obs_mask)) for s in samples])
+    z = embed_inputs([samples[i] for i in sorted(set(embed_of))], params, config)
+    branch_outputs = []
+    for g in config.branch_order:
+        run_of = _firsts([(e, id(p.normalized[g])) for e, p in zip(embed_of, scenes)])
+        run = sorted(set(run_of))
+        out = _branch(_take(z, sizes, embed_of, run),
+                      [scenes[i].normalized[g] for i in run], params, g, config)
+        branch_outputs.append(_take(out, sizes, run_of, range(len(scenes))))
     f_graphs = fuse_graph_features(branch_outputs, params)
     plan_encoding = None
     if config.planning_fusion_enabled:
         per_scene = encode_plan(np.stack([s.ego_plan for s in samples], axis=1),
                                 params, config)  # (S, C)
-        scene_of_agent = np.repeat(np.arange(len(samples)),
-                                   [s.n_agents for s in samples])
-        plan_encoding = per_scene[scene_of_agent]
+        plan_encoding = per_scene[np.repeat(np.arange(len(samples)), sizes)]
     f_fusion = fuse_plan_features(f_graphs, plan_encoding, params, config)
     return cs_gru_decode(f_fusion, samples, params, config)
 

@@ -358,20 +358,26 @@ def validate_sample(sample: Sample) -> None:
     """Raise DataError on any violated sample invariant: the one definition
     of a valid sample, enforced by ``model.prepare``, ``read_canonical``
     and ``write_canonical``."""
-    n, p = sample.observed.shape[:2]
-    f = sample.future.shape[1]
-    if sample.observed.shape != (n, p, 2) or sample.future.shape != (n, f, 2):
-        raise DataError("observed/future must be (N, T, 2)")
+    for name in ("observed", "future"):
+        shape = np.shape(getattr(sample, name))
+        if len(shape) != 3 or shape[::2] != (np.shape(sample.observed)[0], 2):
+            raise DataError(f"{name} has shape {shape}, expected (N, T, 2)")
+    (n, p, _), f = sample.observed.shape, sample.future.shape[1]
     if n == 0:
         raise DataError("sample has no agents")
     if sample.ego_plan.shape != (f, 2):
-        raise DataError(
-            f"ego_plan shape {sample.ego_plan.shape} != ({f}, 2)"
-        )
-    if sample.obs_mask.shape != (n, p) or sample.fut_mask.shape != (n, f):
-        raise DataError("mask shapes disagree with trajectories")
+        raise DataError(f"ego_plan shape {sample.ego_plan.shape} != ({f}, 2)")
+    for name, shape in (("obs_mask", (n, p)), ("fut_mask", (n, f))):
+        mask = getattr(sample, name)
+        if mask.shape != shape or mask.dtype != bool:
+            raise DataError(f"{name} must be bool {shape}, "
+                            f"got {mask.dtype} {mask.shape}")
     if len(sample.categories) != n:
         raise DataError("one category per agent required")
+    if len(sample.agent_ids) not in (0, n):
+        raise DataError(f"agent_ids has {len(sample.agent_ids)} ids for {n} agents")
+    if np.shape(sample.origin) != (2,):
+        raise DataError(f"origin has shape {np.shape(sample.origin)}, expected (2,)")
     for c in sample.categories:
         if c not in CATEGORIES:
             raise DataError(f"unknown category {c!r}")
@@ -380,8 +386,8 @@ def validate_sample(sample: Sample) -> None:
         raise DataError("non-finite coordinates")
     if not sample.obs_mask[Sample.EGO_INDEX].all():
         raise DataError("ego must be fully observed")
-    if sample.frame_rate <= 0:
-        raise DataError("frame_rate must be positive")
+    if not (np.isfinite(sample.frame_rate) and sample.frame_rate > 0):
+        raise DataError(f"frame_rate {sample.frame_rate} is not finite and positive")
 
 
 # ---------------------------------------------------------------------------

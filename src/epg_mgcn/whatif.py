@@ -33,11 +33,12 @@ def what_if(sample: Sample, alternative_plans: dict, params: ModelParams,
     Each plan is (t_pred, 2) in the sample's original frame, as
     :func:`replan` checks. The sample is prepared once, and each further
     distinct plan re-makes only the planning graph. The distinct plans (the
-    base first) run as one batch, one scene each; a plan equal to another
-    in that frame, bit for bit, reuses that plan's rows, so an alternative
-    equal to the base plan diverges by exactly zero. Returns (base result,
-    [alternative results]); divergence is per-agent Frobenius distance
-    between predicted trajectories.
+    base first) run as one ``forward`` batch, one scene each, that shares
+    the observed arrays and plan-free graphs: the embedding and plan-free
+    branches run once, the planning branch once per plan. A plan equal to
+    another, bit for bit, reuses its rows, so one equal to the base plan
+    diverges by exactly zero. Returns (base result, [alternative results]);
+    divergence is the per-agent Frobenius distance between predictions.
     """
     base = prepare(sample, config)
     slot = {}  # shape and bytes of a plan in the original frame -> scene index

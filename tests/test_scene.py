@@ -8,9 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_scene, without_agents
+from conftest import make_sample, random_scene, without_agents
 from oracle_scene import window_samples_loop
 from epg_mgcn.errors import DataError, FormatError, ParseError
+from epg_mgcn.model import ModelConfig, ModelParams, predict, prepare
 from epg_mgcn.scene import (
     CATEGORIES,
     FEET_TO_METERS,
@@ -25,6 +26,7 @@ from epg_mgcn.scene import (
     window_samples,
     write_canonical,
 )
+from epg_mgcn.synthetic import make_synthetic_dataset
 
 
 def write_rows(path, rows):
@@ -473,6 +475,66 @@ class TestCanonicalFormat:
         s.categories[0] = "hovercraft"
         with pytest.raises(DataError, match="hovercraft"):
             validate_sample(s)
+
+
+def synthetic_with(**fields):
+    return dataclasses.replace(make_synthetic_dataset(1)[0], **fields)
+
+
+class TestValidatorNamesTheField:
+    """Each malformed field is a DataError naming it, from the validator,
+    from ``prepare`` and (through it) from ``predict``."""
+
+    CONFIG = ModelConfig(channels=4, t_obs_points=6, t_pred=6)
+
+    def refused(self, sample, field):
+        with pytest.raises(DataError, match=re.escape(field)):
+            validate_sample(sample)
+        with pytest.raises(DataError, match=re.escape(field)):
+            prepare(sample, self.CONFIG)
+        params = ModelParams.initialize(self.CONFIG, seed=0)
+        with pytest.raises(DataError, match=re.escape(field)):
+            predict(sample, self.CONFIG, params)
+
+    def test_generated_fixtures_pass(self):
+        rng = np.random.default_rng(8)
+        for s in [make_sample([[[0.0, 0.0], [1.0, 0.0]], [[3.0, 1.0], [3.0, 2.0]]],
+                              ["vehicle", "pedestrian"]),
+                  *make_synthetic_dataset(4),
+                  *(random_scene(rng, degenerate=d) for d in (True, False))]:
+            validate_sample(s)
+
+    @pytest.mark.parametrize("field", ["observed", "future"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_low_rank_trajectory(self, field, rank):
+        array = getattr(make_synthetic_dataset(1)[0], field)
+        self.refused(synthetic_with(**{field: array[(0,) * (3 - rank)]}),
+                     f"{field} has shape")
+
+    @pytest.mark.parametrize("field", ["obs_mask", "fut_mask"])
+    def test_integer_mask(self, field):
+        mask = getattr(make_synthetic_dataset(1)[0], field)
+        self.refused(synthetic_with(**{field: mask.astype(int)}),
+                     f"{field} must be bool")
+
+    def test_origin_of_three_coordinates(self):
+        self.refused(synthetic_with(origin=np.zeros(3)), "origin has shape (3,)")
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -2.0])
+    def test_frame_rate_not_finite_and_positive(self, tmp_path, rate):
+        sample = synthetic_with(frame_rate=rate)
+        self.refused(sample, "frame_rate")
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(DataError, match="sample 0: frame_rate"):
+            write_canonical([sample], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [0, 1, 2, 3, 4]])
+    def test_agent_ids_not_one_per_agent(self, ids):
+        self.refused(synthetic_with(agent_ids=ids), "agent_ids has")
+
+    def test_no_agent_ids_pass(self):
+        validate_sample(synthetic_with(agent_ids=[]))
 
 
 def ragged_tracks(rng, n_agents, n_frames):
