@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .graphs import GRAPH_NAMES
 from .metrics import evaluate
 from .model import ModelConfig, param_specs
 from .training import TrainConfig, train
@@ -43,22 +44,16 @@ def ablation_configs(base: ModelConfig):
 @dataclass
 class AblationRow:
     label: str
-    enabled_graphs: tuple
-    planning_fusion: bool
-    category_specific: bool
+    config: ModelConfig
     wsade: float | None = None
     parameter_count: int = 0
     error: str | None = None
 
     def flags(self) -> dict:
-        return {
-            "distance": "distance" in self.enabled_graphs,
-            "visibility": "visibility" in self.enabled_graphs,
-            "planning": "planning" in self.enabled_graphs,
-            "category": "category" in self.enabled_graphs,
-            "plan_guided": self.planning_fusion,
-            "cs_gru": self.category_specific,
-        }
+        """Which components the row enables, graphs first in GRAPH_NAMES order."""
+        return {**{g: g in self.config.enabled_graphs for g in GRAPH_NAMES},
+                "plan_guided": self.config.planning_fusion_enabled,
+                "cs_gru": self.config.category_specific_decoders}
 
 
 @dataclass
@@ -79,10 +74,7 @@ class AblationTable:
         head = ("row   G^D  G^V  G^P  G^C  PGP  CS   WSADE")
         lines = [head]
         for row in self.rows:
-            f = row.flags()
-            marks = "    ".join("y" if f[k] else "." for k in
-                                ("distance", "visibility", "planning",
-                                 "category", "plan_guided", "cs_gru"))
+            marks = "    ".join("y" if on else "." for on in row.flags().values())
             score = f"{row.wsade:.4f}" if row.wsade is not None else \
                 (f"FAILED: {row.error}" if row.error else "-")
             lines.append(f"{row.label:<5} {marks}  {score}")
@@ -100,9 +92,7 @@ def run_ablation(samples, base_config: ModelConfig, train_config: TrainConfig,
     for label, config in ablation_configs(base_config):
         row = AblationRow(
             label=label,
-            enabled_graphs=config.enabled_graphs,
-            planning_fusion=config.planning_fusion_enabled,
-            category_specific=config.category_specific_decoders,
+            config=config,
             parameter_count=sum(
                 int(np.prod(shape)) for _, shape, _ in param_specs(config)),
         )

@@ -345,8 +345,6 @@ def _getitem(a: Tensor, key) -> Tensor:
     # a zero buffer of the parent's size: a scan that reads every frame of a
     # (B, C, T) input would otherwise move O(T^2) memory in backward.
     def backward(g):
-        if not a.requires_grad:
-            return
         if basic:
             a._grad_buffer()[key] += g
         else:  # index arrays may repeat an element, which must accumulate

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +96,7 @@ def _read_plans(path) -> dict:
 
 
 def cmd_prepare(args) -> int:
-    config = DatasetConfig(
-        t_obs_points=args.t_obs, t_pred_frames=args.t_pred, d_d=args.d_d,
-        neighborhood=args.neighborhood,
-        frame_rate=args.frame_rate, node_scope=args.node_scope,
-        window_stride=args.stride,
-    )
+    config = DatasetConfig(**_flags(args, DatasetConfig))
     selection = "given_id" if args.ego_id is not None else "every_complete_agent"
     samples = []
     for path in sorted(args.input):
@@ -196,13 +191,8 @@ def cmd_what_if(args) -> int:
 
 
 def _whatif_dict(res):
-    return {
-        "name": res.name,
-        "predictions": res.predictions.tolist(),
-        "planning_column": res.planning_column.tolist(),
-        "divergence": res.divergence.tolist(),
-        "max_coordinate_diff": res.max_coordinate_diff,
-    }
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(res).items()}
 
 
 def cmd_render(args) -> int:
@@ -231,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=("apollo_like", "ngsim_like"))
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--t-obs", type=int, default=6, dest="t_obs")
-    p.add_argument("--t-pred", type=int, default=6, dest="t_pred")
-    p.add_argument("--d-d", type=float, default=10.0, dest="d_d")
-    p.add_argument("--neighborhood", choices=("radius", "highway_band"),
-                   default="radius")
-    p.add_argument("--frame-rate", type=float, default=2.0, dest="frame_rate")
-    p.add_argument("--node-scope", type=float, default=3.0, dest="node_scope")
-    p.add_argument("--stride", type=int, default=None)
+    # each windowing flag's dest is the DatasetConfig field it overrides
+    p.add_argument("--t-obs", type=int, dest="t_obs_points")
+    p.add_argument("--t-pred", type=int, dest="t_pred_frames")
+    p.add_argument("--d-d", type=float, dest="d_d")
+    p.add_argument("--neighborhood", choices=("radius", "highway_band"))
+    p.add_argument("--frame-rate", type=float, dest="frame_rate")
+    p.add_argument("--node-scope", type=float, dest="node_scope")
+    p.add_argument("--stride", type=int, dest="window_stride")
     p.add_argument("--ego-id", type=int, default=None, dest="ego_id")
     p.set_defaults(func=cmd_prepare)
 

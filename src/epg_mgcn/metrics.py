@@ -4,7 +4,7 @@ the type-weighted WSADE/WSFDE scores."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,18 +110,10 @@ class MetricReport:
     excluded_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "ade_by_category": self.ade_by_category,
-            "fde_by_category": self.fde_by_category,
-            "overall_ade": self.overall_ade,
-            "overall_fde": self.overall_fde,
-            "wsade": self.wsade,
-            "wsfde": self.wsfde,
-            "fde_at_seconds": {str(k): v for k, v in self.fde_at_seconds.items()},
-            "sample_count": self.sample_count,
-            "agent_count": self.agent_count,
-            "excluded_count": self.excluded_count,
-        }
+        """Every field, with ``fde_at_seconds``'s keys as strings for JSON."""
+        out = asdict(self)
+        out["fde_at_seconds"] = {str(k): v for k, v in self.fde_at_seconds.items()}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -334,12 +334,6 @@ def supervised_mask(sample: Sample, config: ModelConfig) -> np.ndarray:
     return mask & decodable
 
 
-def _decoder_key(category: str, config: ModelConfig):
-    if category not in config.categories_decoded:
-        return None
-    return category if config.category_specific_decoders else "shared"
-
-
 def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
                   config: ModelConfig) -> Tensor:
     """Decode every agent whose category has a decoder; context-only agents
@@ -361,13 +355,13 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     groups: dict = {}
     undecoded = []
     for i, cat in enumerate(categories):
-        key = _decoder_key(cat, config)
-        if key is None:
+        if cat not in config.categories_decoded:
             undecoded.append(i)
-        else:
-            if f"decoder.{key}.out.weight" not in params:
-                raise RoutingError(f"no decoder registered for category {cat!r}")
-            groups.setdefault(key, []).append(i)
+            continue
+        key = cat if config.category_specific_decoders else "shared"
+        if f"decoder.{key}.out.weight" not in params:
+            raise RoutingError(f"no decoder registered for category {cat!r}")
+        groups.setdefault(key, []).append(i)
 
     order = []
     blocks = []
@@ -504,8 +498,9 @@ def forward(samples, config: ModelConfig, params: ModelParams,
     frame, the agents of the scenes in order. A scene is a
     :class:`PreparedSample`, or an ego-centered ``Sample`` that is checked
     and prepared here in its own dtype from its raw ``AdjacencySet`` (one
-    per sample, built when not given). A batch gives each scene the rows it
-    would get on its own, up to rounding.
+    per scene, built when not given, None for a prepared scene). A batch may
+    mix the two, and gives each scene the rows it would get on its own, up
+    to rounding.
 
     Each part runs once per distinct input, by identity (the embedding per
     ``observed`` and ``obs_mask``, branch ``g`` also per ``normalized[g]``),
@@ -513,17 +508,18 @@ def forward(samples, config: ModelConfig, params: ModelParams,
     scenes = _scenes(samples)
     if not scenes:
         raise UsageError("forward() needs at least one sample")
-    if not all(isinstance(s, PreparedSample) for s in scenes):
-        if adjacency is None:
-            adjacency = [None] * len(scenes)
-        elif isinstance(adjacency, AdjacencySet):
-            adjacency = [adjacency]
-        if len(adjacency) != len(scenes):
-            raise UsageError(f"{len(adjacency)} adjacency sets for "
-                             f"{len(scenes)} samples")
-        scenes = [_prepared(s, a, config) for s, a in zip(scenes, adjacency)]
-    elif adjacency is not None:
+    if adjacency is None:
+        adjacency = [None] * len(scenes)
+    elif isinstance(adjacency, AdjacencySet):
+        adjacency = [adjacency]
+    if len(adjacency) != len(scenes):
+        raise UsageError(f"{len(adjacency)} adjacency sets for "
+                         f"{len(scenes)} samples")
+    if any(isinstance(s, PreparedSample) and a is not None
+           for s, a in zip(scenes, adjacency)):
         raise UsageError("prepared scenes carry their own graphs")
+    scenes = [s if isinstance(s, PreparedSample) else _prepared(s, a, config)
+              for s, a in zip(scenes, adjacency)]
     samples = [p.sample for p in scenes]
     sizes = [s.n_agents for s in samples]
     embed_of = _firsts([(id(s.observed), id(s.obs_mask)) for s in samples])
@@ -655,6 +651,10 @@ def read_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
             second[name] = stored.pop(f"adam.v.{name}", None)
             if first[name] is None or second[name] is None:
                 raise FormatError(f"optimizer state for '{name}' missing from checkpoint")
+            if first[name].shape != shape or second[name].shape != shape:
+                raise FormatError(f"optimizer state for '{name}' has shapes "
+                                  f"{first[name].shape} and {second[name].shape}, "
+                                  f"expected {shape}")
     if stored:
         raise FormatError(f"unexpected entry '{sorted(stored)[0]}' in checkpoint")
     config.require_same(stored_config)

@@ -18,8 +18,9 @@ printed as decimal text with 17 significant digits (lossless for float64).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -134,17 +135,9 @@ class Sample:
         return self.future.shape[1]
 
     def copy(self) -> "Sample":
-        return Sample(
-            categories=list(self.categories),
-            observed=self.observed.copy(),
-            future=self.future.copy(),
-            ego_plan=self.ego_plan.copy(),
-            obs_mask=self.obs_mask.copy(),
-            fut_mask=self.fut_mask.copy(),
-            frame_rate=self.frame_rate,
-            agent_ids=list(self.agent_ids),
-            origin=self.origin.copy(),
-        )
+        """A copy that shares no array or list with this sample."""
+        return replace(self, **{f.name: copy.copy(getattr(self, f.name))
+                                for f in fields(self)})
 
 
 # ---------------------------------------------------------------------------

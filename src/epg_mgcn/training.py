@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +129,9 @@ class RunRecord:
         return [e.mean_loss for e in self.epochs]
 
     def append(self, record: EpochRecord) -> None:
-        if self.epochs and record.epoch != self.epochs[-1].epoch + 1:
-            raise DataError("epoch records must be contiguous")
-        if not self.epochs and record.epoch != 0:
-            raise DataError("epoch records must start at 0")
+        if record.epoch != len(self.epochs):
+            raise DataError(f"epoch record {record.epoch} after {len(self.epochs)} "
+                            "records: records must be contiguous from epoch 0")
         self.epochs.append(record)
 
 
@@ -242,10 +241,7 @@ def checkpoint_save(path, params: ModelParams, optimizer: Adam,
             "step_count": optimizer.step_count,
             "learning_rate": optimizer.learning_rate,
         },
-        "records": [
-            [e.epoch, e.mean_loss, e.learning_rate, e.seconds]
-            for e in record.epochs
-        ],
+        "records": [astuple(e) for e in record.epochs],
         "train_config": None if train_config is None else train_config.to_dict(),
     }
     write_checkpoint(path, Checkpoint(
@@ -259,29 +255,44 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None):
 
 
 def _restore(checkpoint: Checkpoint, path):
-    if checkpoint.trainer is None:
-        raise FormatError(f"{path} is not a trainer checkpoint: no optimizer state")
     meta = checkpoint.trainer
-    params = checkpoint.params
-    adam_meta = meta["adam"]
+    if meta is None:
+        raise FormatError(f"{path} is not a trainer checkpoint: no optimizer state")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: checkpoint field 'trainer' is not an object")
+
+    def read(name, convert):
+        """``convert`` of trainer field ``name``, dotted when nested."""
+        try:
+            value = meta
+            for key in name.split("."):
+                value = value[key]
+            return convert(value)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: checkpoint trainer field '{name}' is "
+                              f"missing or malformed: {exc!r}") from None
+
     # files written before Adam's constants were fixed also record them
     for key, constant in (("beta1", BETA1), ("beta2", BETA2),
                           ("epsilon", EPSILON)):
-        if adam_meta.get(key, constant) != constant:
+        stored = read("adam", lambda adam: adam.get(key, constant))
+        if stored != constant:
             raise FormatError(f"{path}: checkpoint Adam field '{key}' is "
-                              f"{adam_meta[key]!r}, expected {constant!r}")
-    optimizer = Adam(params.tensors, learning_rate=adam_meta["learning_rate"])
-    optimizer.step_count = int(adam_meta["step_count"])
+                              f"{stored!r}, expected {constant!r}")
+    optimizer = Adam(checkpoint.params.tensors,
+                     learning_rate=read("adam.learning_rate", float))
+    optimizer.step_count = read("adam.step_count", int)
     optimizer.first_moment, optimizer.second_moment = checkpoint.moments
 
     rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
+    read("rng_state", lambda state: setattr(rng.bit_generator, "state", state))
 
     record = RunRecord()
-    for epoch, loss, lr, seconds in meta["records"]:
-        record.append(EpochRecord(int(epoch), float(loss), float(lr),
-                                  float(seconds)))
-    return params, optimizer, rng, int(meta["epoch_count"]), record
+    for row in read("records", lambda rows: [
+            EpochRecord(int(epoch), float(loss), float(lr), float(seconds))
+            for epoch, loss, lr, seconds in rows]):
+        record.append(row)
+    return checkpoint.params, optimizer, rng, read("epoch_count", int), record
 
 
 def write_run_record(record: RunRecord, path) -> None:

@@ -737,6 +737,37 @@ class TestAccumulate:
         assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
 
 
+class TestArgumentChecks:
+    def test_integer_input_becomes_float64(self):
+        assert Tensor([1, 2]).data.dtype == np.float64
+
+    def test_repr_names_shape_flag_and_name(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+        assert repr(Tensor(np.zeros(2), requires_grad=True, name="w")) == (
+            "Tensor(shape=(2,), requires_grad=True, name='w')")
+
+    def test_backward_needs_a_scalar(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(UsageError, match=re.escape(
+                "backward() requires a scalar tensor, got shape (3,)")):
+            ag.mul(w, w).backward()
+
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda: ag.stack([]), UsageError, "stack() needs at least one tensor"),
+        (lambda: ag.stack([np.zeros(2), np.zeros(3)]), DimensionError,
+         "stack() requires identical shapes, got [(2,), (3,)]"),
+        (lambda: ag.concat([]), UsageError, "concat() needs at least one tensor"),
+        (lambda: ag.channel_mix(np.zeros((2, 3)), np.zeros(3)), DimensionError,
+         "channel_mix: weight must be 2-D, got (3,)"),
+        (lambda: ag.channel_mix(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3)),
+         DimensionError, "channel_mix: bias shape (3,) != (4,)"),
+    ], ids=["empty stack", "ragged stack", "empty concat", "1-D weight",
+            "short bias"])
+    def test_bad_arguments_are_refused(self, call, error, named):
+        with pytest.raises(error, match=re.escape(named)):
+            call()
+
+
 class TestBackwardConsumesGraph:
     def test_second_backward_raises(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -1,14 +1,19 @@
 """End-to-end command-line flows: prepare -> train -> eval -> what-if ->
 render, exit codes, and pipeline determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from epg_mgcn import cli
 from epg_mgcn.cli import main
-from epg_mgcn.scene import read_canonical, write_canonical
+from epg_mgcn.metrics import MetricReport
+from epg_mgcn.scene import (DatasetConfig, load_trajectory_table, read_canonical,
+                            window_samples, write_canonical)
 from epg_mgcn.synthetic import make_synthetic_dataset
+from epg_mgcn.whatif import WhatIfResult
 
 
 def make_apollo_table(path, n_frames=16):
@@ -28,7 +33,47 @@ def samples_file(tmp_path):
     return path
 
 
+# prepare's windowing flags: (flag, text, DatasetConfig field, parsed value)
+PREPARE_FLAGS = [
+    ("--t-obs", "4", "t_obs_points", 4),
+    ("--t-pred", "3", "t_pred_frames", 3),
+    ("--d-d", "12.5", "d_d", 12.5),
+    ("--neighborhood", "highway_band", "neighborhood", "highway_band"),
+    ("--frame-rate", "5", "frame_rate", 5.0),
+    ("--node-scope", "1.5", "node_scope", 1.5),
+    ("--stride", "2", "window_stride", 2),
+]
+
+
 class TestPrepare:
+    def test_no_flags_writes_the_default_config_windows(self, tmp_path):
+        assert {field for _, _, field, _ in PREPARE_FLAGS} == {
+            f.name for f in dataclasses.fields(DatasetConfig)}
+        table = tmp_path / "apollo.txt"
+        make_apollo_table(table, n_frames=30)
+        out, expected = tmp_path / "prepared.jsonl", tmp_path / "expected.jsonl"
+        assert main(["prepare", "--format", "apollo_like", "--input", str(table),
+                     "--output", str(out)]) == 0
+        write_canonical(window_samples(load_trajectory_table(table, "apollo_like"),
+                                       DatasetConfig()), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("flag, text, field, value", PREPARE_FLAGS)
+    def test_flag_reaches_its_config_field(self, tmp_path, monkeypatch, capsys,
+                                           flag, text, field, value):
+        seen = []
+
+        def window_nothing(tracks, config, **_):
+            seen.append(config)
+            return []
+
+        monkeypatch.setattr(cli, "window_samples", window_nothing)
+        table = tmp_path / "apollo.txt"
+        make_apollo_table(table)
+        assert main(["prepare", "--format", "apollo_like", "--input", str(table),
+                     "--output", str(tmp_path / "out.jsonl"), flag, text]) == 0
+        assert seen == [dataclasses.replace(DatasetConfig(), **{field: value})]
+
     def test_prepare_from_table(self, tmp_path, capsys):
         table = tmp_path / "apollo.txt"
         make_apollo_table(table)
@@ -82,6 +127,7 @@ class TestTrainEval:
                      "--report", str(report_path)])
         assert code == 0
         report = json.loads(report_path.read_text())
+        assert set(report) == {f.name for f in dataclasses.fields(MetricReport)}
         assert report["sample_count"] == 4
         assert report["wsade"] is not None
 
@@ -96,6 +142,8 @@ class TestTrainEval:
         assert code == 0
         payload = json.loads(whatif_report.read_text())
         assert payload["alternatives"][0]["name"] == "swerve"
+        for result in [payload["base"], *payload["alternatives"]]:
+            assert set(result) == {f.name for f in dataclasses.fields(WhatIfResult)}
 
         svg_path = tmp_path / "scene.svg"
         code = main(["render", "--data", str(samples_file), "--index", "1",
@@ -103,6 +151,14 @@ class TestTrainEval:
                      "--output", str(svg_path)])
         assert code == 0
         assert svg_path.read_text().startswith("<svg")
+
+    def test_train_prints_each_epoch_unless_quiet(self, tmp_path, samples_file,
+                                                  capsys):
+        assert main(["train", "--data", str(samples_file), "--out-dir",
+                     str(tmp_path / "run"), "--channels", "4", "--epochs", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[:2]] == ["epoch 0", "epoch 1"]
+        assert all(" lr 0.001 (" in line for line in out[:2])
 
     def test_pipeline_determinism(self, tmp_path, samples_file, capsys):
         reports = []
@@ -185,6 +241,32 @@ class TestErrors:
                      "--plans", str(plans)])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_empty_canonical_file_is_data_error(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        write_canonical([], empty)
+        extra = (["--checkpoint", "x.npz"] if command == "eval"
+                 else ["--out-dir", str(tmp_path / "run")])
+        assert main([command, "--data", str(empty)] + extra) == 3
+        assert f"no samples in {empty}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_diverging_training_is_numeric_error(self, tmp_path, samples_file,
+                                                 capsys):
+        with np.errstate(all="ignore"):  # the overflow is the point
+            code = main(["train", "--data", str(samples_file), "--out-dir",
+                         str(tmp_path / "run"), "--channels", "4", "--epochs",
+                         "2", "--batch-size", "2", "--lr", "1e300", "--quiet"])
+        assert code == 4
+        assert "numeric error: non-finite loss at epoch 0, batch 1" in (
+            capsys.readouterr().err)
+
+    def test_render_bad_index_usage_error(self, tmp_path, samples_file, capsys):
+        code = main(["render", "--data", str(samples_file), "--index", "4",
+                     "--output", str(tmp_path / "scene.svg")])
+        assert code == 2
+        assert "sample index 4 out of range (file has 4)" in capsys.readouterr().err
+
     def test_corrupt_canonical_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"version": 42}\n')
@@ -237,6 +319,7 @@ class TestInputErrors:
         ('{"model": {"chanels": 4}}', "unknown model config field 'chanels'"),
         ('{"train": {"max_epoch": 1}}', "unknown train config field 'max_epoch'"),
         ('{"modle": {}}', "unknown section 'modle'"),
+        ('[{"model": {}}]', "expected a JSON object"),
         ('{"model": {"categories_decoded": ["vehicle", "vehicle"]}}',
          "categories_decoded repeats 'vehicle'"),
         ('{"model": {"enabled_graphs": ["distance", "distance"]}}',

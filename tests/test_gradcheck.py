@@ -7,7 +7,7 @@ import pytest
 from epg_mgcn import autograd as ag
 from epg_mgcn.autograd import Tensor
 from epg_mgcn.errors import NumericError, UsageError
-from epg_mgcn.gradcheck import finite_diff_check
+from epg_mgcn.gradcheck import GradCheckReport, finite_diff_check
 
 
 def test_sum_of_squares_tight_tolerance():
@@ -60,6 +60,26 @@ def test_non_finite_loss_names_parameter_index():
 
     with pytest.raises(NumericError, match=r"'w'\[1\]"):
         finite_diff_check(fragile, {"w": w}, epsilon=1e-5, tolerance=1e-4)
+
+
+def test_non_finite_unperturbed_loss_is_refused():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(NumericError, match="not finite at the unperturbed point"):
+        finite_diff_check(lambda: ag.tsum(ag.mul(w, np.inf)), {"w": w})
+
+
+def test_parameter_without_gradient_is_named():
+    w = Tensor(np.ones(2), requires_grad=True)
+    unused = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(UsageError, match="parameter 'unused' received no gradient"):
+        finite_diff_check(lambda: ag.tsum(ag.mul(w, w)), {"w": w, "unused": unused})
+
+
+def test_summary_lists_parameters_worst_first():
+    report = GradCheckReport(epsilon=1e-5, tolerance=1e-6,
+                             per_parameter={"a": 1e-9, "b": 1e-3})
+    assert report.summary() == ("gradient check: FAIL (max rel err 1.000e-03, "
+                                "tol 1.0e-06)\n  1.000e-03  b\n  1.000e-09  a")
 
 
 def test_requires_scalar_loss():

@@ -2,11 +2,13 @@
 geometric invariances (translation/rotation) and normalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import make_sample, random_scene
+from epg_mgcn.errors import DimensionError
 from epg_mgcn.graphs import (
     COINCIDENT_CAP,
     MOTION_EPSILON,
@@ -238,6 +240,12 @@ class TestPlanningGraph:
         e = build_planning_graph(s, 20.0)
         assert e[1, 0] == 0.0
 
+    def test_absent_ego_gets_no_edges(self):
+        s = self._scene((10, 0))  # agent 1 is aligned, as in test_aligned_plan
+        s.obs_mask[0, -1] = False
+        s.observed[0, -1] = 0.0
+        assert (build_planning_graph(s, 20.0) == 0).all()
+
 
 class TestCategoryGraph:
     def test_pedestrian_pair(self):
@@ -339,6 +347,11 @@ class TestGeometricInvariance:
 
 
 class TestNormalization:
+    def test_non_square_is_refused(self):
+        with pytest.raises(DimensionError, match=re.escape(
+                "adjacency must be square, got (2, 3)")):
+            normalize_adjacency(np.zeros((2, 3)))
+
     def test_zero_matrix_gives_identity(self):
         np.testing.assert_array_equal(normalize_adjacency(np.zeros((4, 4))),
                                       np.eye(4))

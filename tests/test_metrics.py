@@ -2,6 +2,7 @@
 published weighted-score reproduction lives in the acceptance suite too."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -68,7 +69,22 @@ class TestDisplacementErrors:
         assert errs.valid.tolist() == [True, False]
 
 
+    def test_shape_mismatch_is_refused(self):
+        with pytest.raises(DataError, match=re.escape(
+                "prediction shape (2, 3, 2) != truth (2, 4, 2)")):
+            displacement_errors(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
+
+
 class TestHorizonFde:
+    def test_seconds_before_the_first_frame_are_skipped(self, rng):
+        # 0.4 Hz: second 1 maps to frame round(0.4) = 0, before the first
+        pred = rng.normal(size=(1, 6, 2))
+        out = fde_at_horizons(pred, pred + [3.0, 4.0], np.ones((1, 6), bool),
+                              frame_rate=0.4)
+        assert sorted(out) == list(range(2, 16))
+        for k in out:
+            np.testing.assert_allclose(out[k], 5.0)
+
     def test_five_hertz_mapping(self, rng):
         # 5 Hz, 25 future frames: second k maps to 1-based frame 5k
         pred = rng.normal(size=(1, 25, 2))

@@ -81,6 +81,20 @@ class TestModelConfig:
             ModelConfig.from_dict(config)
 
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("enabled_graphs", (), "at least one graph must be enabled"),
+        ("enabled_graphs", ("distance", "speed"), "unknown graph 'speed'"),
+        ("categories_decoded", ("vehicle", "truck"), "unknown category 'truck'"),
+        ("channels", 0, "channels and blocks_per_branch must be positive"),
+        ("blocks_per_branch", 0, "channels and blocks_per_branch must be positive"),
+        ("t_obs_points", 1, "t_obs_points >= 2 and t_pred >= 1 required"),
+        ("t_pred", 0, "t_obs_points >= 2 and t_pred >= 1 required"),
+    ])
+    def test_out_of_range_field_is_refused(self, field, value, named):
+        with pytest.raises(UsageError, match=re.escape(named)):
+            ModelConfig(**{field: value})
+
+
 class TestEmbedInputs:
     def test_zero_coords_zero_bias(self, rng):
         cfg = tiny_config()
@@ -682,6 +696,18 @@ class TestBatchedForward:
         with pytest.raises(UsageError, match="at least one sample"):
             forward([], cfg, params)
 
+    def test_batch_may_mix_prepared_and_raw_scenes(self, rng):
+        cfg = BATCH_CONFIG
+        params = ModelParams.initialize(cfg, seed=6)
+        raw = [random_scene(rng, n_max=8) for _ in range(2)]
+        prepared = [prepare(s, cfg) for s in raw]
+        for order in ([0, 1], [1, 0]):
+            mixed = [prepared[order[0]], ego_center(raw[order[1]])]
+            expected = forward([prepared[i] for i in order], cfg, params).data
+            assert forward(mixed, cfg, params).data.tobytes() == expected.tobytes()
+            with pytest.raises(UsageError, match="carry their own graphs"):
+                forward(mixed, cfg, params, [prepared[order[0]].adjacency, None])
+
 
 class TestGoldenModel:
     """The whole network against ``tests/data/golden_model.npz``, recorded
@@ -892,6 +918,14 @@ class TestCheckpoint:
         else:
             path.write_bytes(content)
         with pytest.raises(FormatError, match=re.escape(f"{path} is not an npz archive")):
+            load_params(path)
+
+    def test_archive_without_metadata_rejected(self, tmp_path):
+        params = ModelParams.initialize(tiny_config(), seed=36)
+        path = tmp_path / "params.npz"
+        np.savez(path, **{f"param.{name}": t.data for name, t in params.items()})
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path} is not a checkpoint: missing or unreadable metadata")):
             load_params(path)
 
     def test_version_one_file_rejected_naming_version(self, tmp_path):

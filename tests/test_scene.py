@@ -17,6 +17,7 @@ from epg_mgcn.scene import (
     FEET_TO_METERS,
     HIGHWAY_BAND_METERS,
     DatasetConfig,
+    Sample,
     ego_center,
     load_trajectory_table,
     read_canonical,
@@ -72,6 +73,23 @@ class TestLoadApollo:
         with pytest.raises(ParseError, match="line 1"):
             load_trajectory_table(p, "apollo_like")
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("# frame agent type x y\n\n0 1 2 3.5 4.5\n")
+        assert len(load_trajectory_table(p, "apollo_like")) == 1
+
+    def test_non_finite_position_names_agent(self, tmp_path):
+        p = tmp_path / "nan.txt"
+        write_rows(p, [(0, 4, 1, 0.0, 0.0), (1, 4, 1, "nan", 0.0)])
+        with pytest.raises(DataError, match="non-finite position for agent 4"):
+            load_trajectory_table(p, "apollo_like")
+
+    def test_unknown_format_is_refused(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0 1 2 3.5 4.5\n")
+        with pytest.raises(ParseError, match="unknown table format 'csv'"):
+            load_trajectory_table(p, "csv")
+
     def test_duplicate_frame_rejected(self, tmp_path):
         p = tmp_path / "dup.txt"
         write_rows(p, [(0, 1, 2, 0, 0), (0, 1, 2, 1, 1)])
@@ -116,6 +134,12 @@ class TestLoadNgsim:
             for frame, pos in zip(track.frames, track.positions):
                 np.testing.assert_allclose(
                     pos, hand[(track.agent_id, int(frame))], atol=1e-9)
+
+    def test_agent_seen_only_on_odd_frames_is_dropped(self, tmp_path):
+        p = tmp_path / "n.txt"
+        write_rows(p, [(1, 0, 0, 0, 1), (1, 2, 0, 5, 1), (2, 1, 0, 9, 1),
+                       (2, 3, 0, 14, 1)])
+        assert [t.agent_id for t in load_trajectory_table(p, "ngsim_like")] == [1]
 
     def test_lane_ids_survive(self, tmp_path):
         p = tmp_path / "n.txt"
@@ -294,6 +318,16 @@ class TestWindowing:
                 assert list(s.obs_mask[i]) == exp_obs
                 assert list(s.fut_mask[i]) == exp_fut
 
+    @pytest.mark.parametrize("selection, ego_id, named", [
+        ("nearest", None, "unknown ego_selection 'nearest'"),
+        ("given_id", None, "ego_selection='given_id' requires ego_id"),
+    ])
+    def test_bad_ego_selection_is_refused(self, selection, ego_id, named):
+        tracks = linear_tracks([(1, "vehicle", (0, 0), (1, 0))], 20)
+        with pytest.raises(DataError, match=re.escape(named)):
+            window_samples(tracks, self.config(), ego_selection=selection,
+                           ego_id=ego_id)
+
     def test_empty_and_no_eligible_ego(self):
         assert window_samples([], self.config()) == []
         tracks = linear_tracks([(1, "vehicle", (0, 0), (1, 0))], 5)
@@ -330,6 +364,33 @@ class TestDatasetConfig:
     def test_non_positive_d_d_is_named(self):
         with pytest.raises(DataError, match="d_d must be positive, got 0"):
             DatasetConfig(d_d=0.0)
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("t_obs_points", 1, "t_obs_points must be >= 2"),
+        ("t_pred_frames", 0, "t_pred_frames must be >= 1"),
+        ("neighborhood", "square", "unknown neighborhood rule 'square'"),
+        ("frame_rate", 0.0, "frame_rate must be positive"),
+        ("window_stride", 0, "window_stride must be >= 1"),
+    ])
+    def test_out_of_range_field_is_named(self, field, value, named):
+        with pytest.raises(DataError, match=re.escape(named)):
+            DatasetConfig(**{field: value})
+
+
+class TestSampleCopy:
+    def test_equal_in_every_field_and_shares_nothing(self, rng):
+        sample = random_scene(rng)
+        sample.origin = np.array([3.5, -1.25])
+        copied = sample.copy()
+        for f in dataclasses.fields(Sample):
+            mine, theirs = getattr(sample, f.name), getattr(copied, f.name)
+            if isinstance(mine, np.ndarray):
+                assert (theirs.dtype, theirs.shape, theirs.tobytes()) == (
+                    mine.dtype, mine.shape, mine.tobytes()), f.name
+                assert not np.shares_memory(theirs, mine), f.name
+            else:
+                assert theirs == mine, f.name
+                assert not isinstance(mine, list) or theirs is not mine, f.name
 
 
 class TestEgoCenter:
@@ -428,7 +489,7 @@ class TestCanonicalFormat:
             read_canonical(path)
 
     @pytest.mark.parametrize("damage", ["no categories", "obs not reshapable",
-                                        "not an object"])
+                                        "not an object", "not JSON"])
     def test_malformed_record_names_path_and_line(self, tmp_path, rng, damage):
         good = sample_to_line(random_scene(rng))
         rec = json.loads(good)
@@ -436,10 +497,11 @@ class TestCanonicalFormat:
             del rec["categories"]
         elif damage == "obs not reshapable":
             rec["obs"] = [1.0, 2.0, 3.0]
-        else:
+        elif damage == "not an object":
             rec = [rec]
+        bad = good[:-1] if damage == "not JSON" else json.dumps(rec)
         path = tmp_path / "bad.jsonl"
-        path.write_text(good + "\n\n" + json.dumps(rec) + "\n")
+        path.write_text(good + "\n\n" + bad + "\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}, line 3: invalid canonical")):
             read_canonical(path)
 
@@ -516,6 +578,15 @@ class TestValidatorNamesTheField:
         mask = getattr(make_synthetic_dataset(1)[0], field)
         self.refused(synthetic_with(**{field: mask.astype(int)}),
                      f"{field} must be bool")
+
+    def test_plan_of_other_length(self):
+        self.refused(synthetic_with(ego_plan=np.zeros((5, 2))),
+                     "ego_plan shape (5, 2) != (6, 2)")
+
+    def test_categories_not_one_per_agent(self):
+        categories = make_synthetic_dataset(1)[0].categories[:-1]
+        self.refused(synthetic_with(categories=categories),
+                     "one category per agent required")
 
     def test_origin_of_three_coordinates(self):
         self.refused(synthetic_with(origin=np.zeros(3)), "origin has shape (3,)")

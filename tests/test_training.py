@@ -2,6 +2,7 @@
 smoke check that loss decreases on the synthetic set."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ class TestSchedule:
             TrainConfig(batch_size=0)
         with pytest.raises(DataError):
             TrainConfig(precision="half")
+        with pytest.raises(DataError, match="max_epochs must be >= 0"):
+            TrainConfig(max_epochs=-1)
+
+    def test_negative_epoch_is_refused(self):
+        with pytest.raises(DataError, match="epoch must be >= 0"):
+            lr_at(-1, TrainConfig())
 
 
 class TestTrainLoop:
@@ -177,15 +184,68 @@ class TestTrainLoop:
         assert losses[-1] < losses[0]
 
 
+def damage(source, path, edit):
+    """Copy the checkpoint ``source`` to ``path`` after ``edit(meta, arrays)``."""
+    with np.load(source) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    edit(meta, arrays)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
 def record_adam_fields(path, **fields):
     """Add ``fields`` to the Adam record in a trainer checkpoint's
     ``__meta__``, the layout of files written while Adam's beta1, beta2
     and epsilon were settable."""
-    with np.load(path) as archive:
-        arrays = {k: archive[k] for k in archive.files}
-    meta = json.loads(str(arrays.pop("__meta__")))
-    meta["trainer"]["adam"].update(fields)
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    damage(path, path, lambda meta, _: meta["trainer"]["adam"].update(fields))
+
+
+@pytest.fixture(scope="module")
+def trainer_checkpoint(tmp_path_factory):
+    """A trainer checkpoint after 3 epochs."""
+    run_dir = tmp_path_factory.mktemp("trainer")
+    train(make_synthetic_dataset(2), small_model(), small_train(max_epochs=3),
+          run_dir=run_dir)
+    return run_dir / "checkpoint.npz"
+
+
+def two_entry_record(meta, arrays):
+    meta["trainer"]["records"][1] = meta["trainer"]["records"][1][:2]
+
+
+class TestCheckpointMetadata:
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta, _: meta["trainer"].pop("rng_state"),
+         "trainer field 'rng_state' is missing"),
+        (lambda meta, _: meta["trainer"]["adam"].pop("step_count"),
+         "trainer field 'adam.step_count' is missing"),
+        (lambda meta, _: meta["trainer"]["adam"].pop("learning_rate"),
+         "trainer field 'adam.learning_rate' is missing"),
+        (lambda meta, _: meta["trainer"].pop("epoch_count"),
+         "trainer field 'epoch_count' is missing"),
+        (two_entry_record, "trainer field 'records' is missing or malformed"),
+        (lambda meta, _: meta.update(trainer="adam"),
+         "checkpoint field 'trainer' is not an object"),
+        (lambda _, arrays: arrays.update({"adam.m.embed.weight": np.zeros(1)}),
+         "optimizer state for 'embed.weight' has shapes (1,) and (6, 2), "
+         "expected (6, 2)"),
+        (lambda _, arrays: arrays.pop("adam.v.embed.weight"),
+         "optimizer state for 'embed.weight' missing"),
+    ], ids=["no rng_state", "no step_count", "no learning_rate", "no epoch_count",
+            "records row of two", "trainer a string", "moment of shape (1,)",
+            "no second moment"])
+    def test_bad_metadata_is_format_error_naming_field(self, tmp_path,
+                                                       trainer_checkpoint,
+                                                       edit, named):
+        path = tmp_path / "damaged.npz"
+        damage(trainer_checkpoint, path, edit)
+        with pytest.raises(FormatError, match=re.escape(named)):
+            checkpoint_load(path)
+
+    def test_undamaged_copy_loads(self, tmp_path, trainer_checkpoint):
+        path = tmp_path / "copy.npz"
+        damage(trainer_checkpoint, path, lambda meta, arrays: None)
+        assert checkpoint_load(path)[3] == 3
 
 
 class TestCheckpointResume:
@@ -365,8 +425,39 @@ class TestCheckpointResume:
                   checkpoint_every=every)
         assert not (tmp_path / "run").exists()
 
+    def test_mid_run_checkpoint_of_killed_run_resumes_bitwise(self, tmp_path):
+        samples = make_synthetic_dataset(4)
+        model = small_model()
+        full = train(samples, model, small_train(batch_size=2, max_epochs=4))
+        seen = []
+
+        class Killed(Exception):
+            pass
+
+        def kill_after_third_epoch(record):
+            seen.append(record)
+            if record.epoch == 2:
+                raise Killed
+
+        with pytest.raises(Killed):
+            train(samples, model, small_train(batch_size=2, max_epochs=4),
+                  run_dir=tmp_path, checkpoint_every=2,
+                  progress=kill_after_third_epoch)
+        assert [r.epoch for r in seen] == [0, 1, 2]
+        assert [r.mean_loss for r in seen] == full.record.losses()[:3]
+        assert checkpoint_load(tmp_path / "checkpoint.npz")[3] == 2
+        resumed = train(samples, model, small_train(batch_size=2, max_epochs=4),
+                        resume=tmp_path / "checkpoint.npz")
+        assert np.array(resumed.record.losses()).tobytes() == \
+            np.array(full.record.losses()).tobytes()
+        for name in full.params.names():
+            assert resumed.params[name].data.tobytes() == \
+                full.params[name].data.tobytes()
+
     def test_records_must_be_contiguous(self):
         record = RunRecord()
+        with pytest.raises(DataError):
+            record.append(EpochRecord(1, 1.0, 0.001, 0.1))
         record.append(EpochRecord(0, 1.0, 0.001, 0.1))
         with pytest.raises(DataError):
             record.append(EpochRecord(2, 0.9, 0.001, 0.1))

@@ -1,6 +1,7 @@
 """What-if prediction under alternative plans and the six-row ablation
 ladder on the synthetic set."""
 
+import json
 import re
 
 import numpy as np
@@ -169,8 +170,14 @@ class TestAblation:
     def test_failed_row_marked_and_ladder_continues(self):
         samples = make_synthetic_dataset(2)
         samples[0].future[1, 0, 0] = 1e200  # blows up every row's first loss
+        reported = []
         table = run_ablation(samples, full_config(),
-                             TrainConfig(batch_size=2, max_epochs=1, seed=0))
+                             TrainConfig(batch_size=2, max_epochs=1, seed=0),
+                             progress=reported.append)
+        assert reported == table.rows
         assert len(table.rows) == 6
         assert all(r.wsade is None for r in table.rows)
         assert all(r.error and "NumericError" in r.error for r in table.rows)
+        records = [json.loads(line) for line in table.to_json_lines().splitlines()]
+        assert [r["error"] for r in records] == [r.error for r in table.rows]
+        assert table.format_table().count("FAILED: NumericError") == 6
