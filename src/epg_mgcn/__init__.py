@@ -46,46 +46,3 @@ from .scene import (
 from .synthetic import make_synthetic_dataset
 from .training import TrainConfig, checkpoint_load, checkpoint_save, lr_at, train
 from .whatif import what_if
-
-__all__ = [
-    "__version__",
-    "Tensor",
-    "GRUParams",
-    "gru_cell",
-    "Adam",
-    "finite_diff_check",
-    "AdjacencySet",
-    "build_adjacency",
-    "build_distance_graph",
-    "build_visibility_graph",
-    "build_planning_graph",
-    "build_category_graph",
-    "motion_directions",
-    "normalize_adjacency",
-    "AgentTrack",
-    "DatasetConfig",
-    "Sample",
-    "load_trajectory_table",
-    "window_samples",
-    "ego_center",
-    "read_canonical",
-    "write_canonical",
-    "ModelConfig",
-    "ModelParams",
-    "forward",
-    "predict",
-    "prediction_loss",
-    "save_params",
-    "load_params",
-    "TrainConfig",
-    "train",
-    "lr_at",
-    "checkpoint_save",
-    "checkpoint_load",
-    "MetricReport",
-    "displacement_errors",
-    "evaluate",
-    "weighted_scores",
-    "what_if",
-    "make_synthetic_dataset",
-]

@@ -248,34 +248,36 @@ def block_matmul(blocks, x) -> Tensor:
     """``block_diag(*blocks) @ x`` without forming the block-diagonal matrix.
 
     ``blocks`` are constant square arrays (n_s, n_s) and ``x`` is (sum n_s,
-    F); block s multiplies the rows of ``x`` from ``n_0 + ... + n_{s-1}``
-    on, so a batch of scenes mixes each scene's agents with one product per
-    scene's adjacency. Only ``x`` receives a gradient, ``blocks[s]^T @ g``
-    on the same rows.
+    ...), its trailing axes taken as one of F columns; block s multiplies
+    the rows of ``x`` from ``n_0 + ... + n_{s-1}`` on, so a batch of scenes
+    mixes each scene's agents with one product per scene's adjacency. Only
+    ``x`` receives a gradient, ``blocks[s]^T @ g`` on the same rows.
     """
     x = as_tensor(x)
     blocks = [np.asarray(b) for b in blocks]
     square = all(b.ndim == 2 and b.shape[0] == b.shape[1] for b in blocks)
-    if x.ndim != 2 or not square or sum(len(b) for b in blocks) != len(x.data):
+    if x.ndim < 2 or not square or sum(len(b) for b in blocks) != len(x.data):
         raise DimensionError(
             f"block_matmul: blocks {[b.shape for b in blocks]} do not tile "
             f"the rows of {x.shape}"
         )
-    spans, lo = [], 0
-    for b in blocks:
-        spans.append((b, lo, lo + len(b)))
-        lo += len(b)
-    # products straight into row slices of the result: no per-block copy
-    out_data = np.empty(x.shape, dtype=np.result_type(x.data, *blocks))
-    for b, lo, hi in spans:
-        np.matmul(b, x.data[lo:hi], out=out_data[lo:hi])
+    bounds = np.cumsum([0] + [len(b) for b in blocks])
+    flat = (len(x.data), int(np.prod(x.shape[1:])))  # (N, F), also when N is 0
+
+    def mix(matrices, a, dtype):
+        """``matrices[s]`` times block s's rows of ``a`` as (N, F), each
+        product written straight into its rows of the result."""
+        out = np.empty(a.shape, dtype=dtype)
+        rows, out_rows = a.reshape(flat), out.reshape(flat)
+        for m, lo, hi in zip(matrices, bounds[:-1], bounds[1:]):
+            np.matmul(m, rows[lo:hi], out=out_rows[lo:hi])
+        return out
+
+    out_data = mix(blocks, x.data, np.result_type(x.data, *blocks))
 
     def backward(g):
         if x.requires_grad:
-            gx = np.empty_like(g)
-            for b, lo, hi in spans:
-                np.matmul(b.T, g[lo:hi], out=gx[lo:hi])
-            x._accumulate(gx)
+            x._accumulate(mix([b.T for b in blocks], g, g.dtype))
 
     return _make(out_data, (x,), backward)
 

@@ -48,7 +48,7 @@ def _run_configs(args, samples):
     shapes = {"t_obs_points": samples[0].t_obs_points,
               "t_pred": samples[0].t_pred}
     if args.config is None:
-        model_config, train_config = ModelConfig.from_dict(shapes), TrainConfig()
+        model_config, train_config = ModelConfig(**shapes), TrainConfig()
     else:
         loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
@@ -57,8 +57,8 @@ def _run_configs(args, samples):
         if extra:
             raise UsageError(f"run config {args.config}: unknown section {extra[0]!r}")
         try:
-            model_config = ModelConfig.from_dict({**shapes, **loaded.get("model", {})})
-            train_config = TrainConfig.from_dict(loaded.get("train", {}))
+            model_config = ModelConfig(**{**shapes, **loaded.get("model", {})})
+            train_config = TrainConfig(**loaded.get("train", {}))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"run config {args.config}: {exc}") from None
     model_flags, train_flags = _flags(args, ModelConfig), _flags(args, TrainConfig)

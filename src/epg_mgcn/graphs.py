@@ -66,9 +66,6 @@ class AdjacencySet:
     planning: np.ndarray
     category: np.ndarray
 
-    def get(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
 
 def motion_directions(sample: Sample) -> MotionDirections:
     """Heading of each agent at the last observed frame.
@@ -138,7 +135,7 @@ def build_visibility_graph(sample: Sample) -> np.ndarray:
 def build_planning_graph(sample: Sample, beta_degrees: float) -> np.ndarray:
     """Unit edges into the ego (column 0) for agents whose heading points
     within ``+/- beta_degrees`` of the ego's planned endpoint."""
-    pos, present, _, _ = _pairwise(sample)
+    pos, present = sample.observed[:, -1], sample.obs_mask[:, -1]
     headings = motion_directions(sample)
     n = pos.shape[0]
     weights = np.zeros((n, n))

@@ -105,28 +105,15 @@ class ModelConfig:
             return self.categories_decoded
         return ("shared",)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`; an unknown key is a UsageError."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise UsageError(f"unknown model config field {unknown[0]!r}")
-        return cls(**d)
-
     def require_same(self, stored: "ModelConfig") -> None:
         """Raise FormatError naming the first field in which the ``stored``
         (checkpoint) configuration differs from this one. Fields that leave
         parameter shapes alone, such as ``d_d``, still change predictions."""
-        mine, theirs = self.to_dict(), stored.to_dict()
-        for key in mine:
-            if mine[key] != theirs[key]:
-                raise FormatError(
-                    f"checkpoint config field '{key}' is {theirs[key]!r}, "
-                    f"expected {mine[key]!r}"
-                )
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(stored, f.name)
+            if mine != theirs:
+                raise FormatError(f"checkpoint config field '{f.name}' is "
+                                  f"{theirs!r}, expected {mine!r}")
 
 
 def _gru_specs(prefix: str, c_in: int, c_h: int):
@@ -254,11 +241,8 @@ def graph_conv_block(z: Tensor, norm_adj, spatial_weight: Tensor,
     ``norm_adj`` is one scene's (N, N) matrix, or a sequence with one matrix
     per scene of a batch: a block-diagonal mixing that never couples
     agents of different scenes."""
-    n, t, c = z.shape
     blocks = [norm_adj] if isinstance(norm_adj, np.ndarray) else norm_adj
-    mixed = ag.reshape(ag.block_matmul(blocks, ag.reshape(z, (n, t * c))),
-                       (n, t, c))
-    lifted = ag.channel_mix(mixed, spatial_weight)
+    lifted = ag.channel_mix(ag.block_matmul(blocks, z), spatial_weight)
     return ag.temporal_conv(ag.relu(lifted), temporal_kernel)
 
 
@@ -446,7 +430,7 @@ def _prepared(centered: Sample, adjacency: AdjacencySet | None,
         adjacency = build_adjacency(centered, config.d_d, config.beta_degrees)
     dtype = centered.observed.dtype
     return PreparedSample(centered, adjacency, {
-        g: normalize_adjacency(adjacency.get(g)).astype(dtype)
+        g: normalize_adjacency(getattr(adjacency, g)).astype(dtype)
         for g in config.branch_order})
 
 
@@ -598,7 +582,7 @@ def write_checkpoint(path, checkpoint: Checkpoint) -> None:
     moments if any, and a JSON ``__meta__`` entry holding the format
     version, the model configuration and the trainer state."""
     meta = {"checkpoint_version": CHECKPOINT_VERSION,
-            "model_config": checkpoint.params.config.to_dict(),
+            "model_config": dataclasses.asdict(checkpoint.params.config),
             "trainer": checkpoint.trainer}
     arrays = {f"param.{name}": t.data for name, t in checkpoint.params.items()}
     if checkpoint.moments is not None:
@@ -631,7 +615,7 @@ def read_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         raise FormatError(f"{path}: unsupported checkpoint version {version!r} "
                           f"(this version reads {CHECKPOINT_VERSION})")
     try:
-        stored_config = ModelConfig.from_dict(meta["model_config"])
+        stored_config = ModelConfig(**meta["model_config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad stored model config: {exc}") from None
     config = expected_config if expected_config is not None else stored_config

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,25 +82,15 @@ class TrainConfig:
     def dtype(self):
         return np.float64 if self.precision == "double" else np.float32
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of :meth:`to_dict`; an unknown key is a UsageError."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise UsageError(f"unknown train config field {unknown[0]!r}")
-        return cls(**d)
-
-    def require_resumable(self, stored: dict) -> None:
+    def require_resumable(self, stored: "TrainConfig") -> None:
         """Raise FormatError naming the first field in which the ``stored``
         (checkpoint) train config differs from this one. ``max_epochs`` may
         differ: extending a run is what resuming is for."""
-        for key, mine in self.to_dict().items():
-            if key != "max_epochs" and stored.get(key) != mine:
-                raise FormatError(f"checkpoint train config field '{key}' is "
-                                  f"{stored.get(key)!r}, expected {mine!r}")
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(stored, f.name)
+            if f.name != "max_epochs" and theirs != mine:
+                raise FormatError(f"checkpoint train config field '{f.name}' "
+                                  f"is {theirs!r}, expected {mine!r}")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -163,9 +153,10 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
 
     if resume is not None:
         checkpoint = read_checkpoint(resume, expected_config=model_config)
-        params, optimizer, rng, start_epoch, record = _restore(checkpoint, resume)
-        if checkpoint.trainer.get("train_config") is not None:
-            train_config.require_resumable(checkpoint.trainer["train_config"])
+        params, optimizer, rng, start_epoch, record, stored = _restore(
+            checkpoint, resume)
+        if stored is not None:
+            train_config.require_resumable(stored)
         if train_config.max_epochs < start_epoch:
             raise UsageError(f"max_epochs {train_config.max_epochs} is below the "
                              f"{start_epoch} epochs the checkpoint has run")
@@ -214,11 +205,11 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
         if (run_dir is not None and checkpoint_every is not None
                 and (epoch + 1) % checkpoint_every == 0):
             checkpoint_save(run_dir / "checkpoint.npz", params, optimizer,
-                            rng, epoch + 1, record, train_config)
+                            rng, record, train_config)
 
     if run_dir is not None:
         checkpoint_save(run_dir / "checkpoint.npz", params, optimizer,
-                        rng, train_config.max_epochs, record, train_config)
+                        rng, record, train_config)
         write_run_record(record, run_dir / "run_record.jsonl")
     return TrainResult(params, record, optimizer, rng)
 
@@ -229,20 +220,20 @@ def train(samples, model_config: ModelConfig, train_config: TrainConfig,
 
 
 def checkpoint_save(path, params: ModelParams, optimizer: Adam,
-                    rng: np.random.Generator, epoch_count: int,
-                    record: RunRecord,
+                    rng: np.random.Generator, record: RunRecord,
                     train_config: TrainConfig | None = None) -> None:
     """Write parameters with the optimizer state, the shuffle stream, the
-    loss trace and, when given, the train config a resume must match."""
+    loss trace (whose length is the ``epoch_count`` recorded) and, when
+    given, the train config a resume must match."""
     trainer = {
-        "epoch_count": epoch_count,
+        "epoch_count": len(record.epochs),
         "rng_state": rng.bit_generator.state,
         "adam": {
             "step_count": optimizer.step_count,
             "learning_rate": optimizer.learning_rate,
         },
         "records": [astuple(e) for e in record.epochs],
-        "train_config": None if train_config is None else train_config.to_dict(),
+        "train_config": None if train_config is None else asdict(train_config),
     }
     write_checkpoint(path, Checkpoint(
         params, trainer, (optimizer.first_moment, optimizer.second_moment)))
@@ -251,7 +242,7 @@ def checkpoint_save(path, params: ModelParams, optimizer: Adam,
 def checkpoint_load(path, expected_config: ModelConfig | None = None):
     """Returns (params, optimizer, rng, epoch_count, record). An
     ``expected_config`` must equal the stored one in every field."""
-    return _restore(read_checkpoint(path, expected_config), path)
+    return _restore(read_checkpoint(path, expected_config), path)[:5]
 
 
 def _restore(checkpoint: Checkpoint, path):
@@ -287,12 +278,24 @@ def _restore(checkpoint: Checkpoint, path):
     rng = np.random.default_rng()
     read("rng_state", lambda state: setattr(rng.bit_generator, "state", state))
 
-    record = RunRecord()
-    for row in read("records", lambda rows: [
-            EpochRecord(int(epoch), float(loss), float(lr), float(seconds))
-            for epoch, loss, lr, seconds in rows]):
-        record.append(row)
-    return checkpoint.params, optimizer, rng, read("epoch_count", int), record
+    def to_record(rows):
+        record = RunRecord()
+        for epoch, loss, lr, seconds in rows:
+            record.append(EpochRecord(int(epoch), float(loss), float(lr),
+                                      float(seconds)))
+        return record
+
+    record = read("records", to_record)
+    epoch_count = read("epoch_count", int)
+    if epoch_count != len(record.epochs):
+        raise FormatError(f"{path}: checkpoint trainer field 'epoch_count' is "
+                          f"{epoch_count}, but 'records' holds "
+                          f"{len(record.epochs)} epochs")
+    # a missing field would take its default, so each is looked up by name
+    train_config = None if meta.get("train_config") is None else read(
+        "train_config", lambda d: TrainConfig(
+            **({f.name: d[f.name] for f in fields(TrainConfig)} | d)))
+    return checkpoint.params, optimizer, rng, epoch_count, record, train_config
 
 
 def write_run_record(record: RunRecord, path) -> None:

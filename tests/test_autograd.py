@@ -110,6 +110,31 @@ class TestBlockMatmul:
         np.testing.assert_allclose(out.data, dense @ x.data, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(x.grad, dense.T @ g, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(3,), (1, 4, 2)])
+    def test_mixes_the_rows_of_a_three_axis_input(self, sizes):
+        """Trailing axes are one axis of columns: time-major (N, T, C)
+        features mix as (N, T*C), bitwise as the 2-D product."""
+        rng = np.random.default_rng(sum(sizes))
+        blocks = [rng.normal(size=(n, n)) for n in sizes]
+        x = Tensor(rng.normal(size=(sum(sizes), 3, 4)), requires_grad=True)
+        flat = Tensor(x.data.reshape(sum(sizes), 12), requires_grad=True)
+        g = rng.normal(size=(sum(sizes), 3, 4))
+        out = ag.block_matmul(blocks, x)
+        ag.tsum(ag.mul(out, g)).backward()
+        ag.tsum(ag.mul(ag.block_matmul(blocks, flat), g.reshape(-1, 12))).backward()
+        dense = dense_block_diag(blocks)
+        np.testing.assert_allclose(out.data, np.einsum("ij,jtc->itc", dense, x.data),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, np.einsum("ji,jtc->itc", dense, g),
+                                   rtol=1e-12, atol=1e-12)
+        assert x.grad.tobytes() == flat.grad.tobytes()
+
+    def test_no_blocks_mix_no_rows(self):
+        x = Tensor(np.zeros((0, 3, 4)), requires_grad=True)
+        out = ag.block_matmul([], x)
+        ag.tsum(out).backward()
+        assert out.shape == x.grad.shape == (0, 3, 4)
+
     def test_one_block_equals_matmul_bitwise(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5))

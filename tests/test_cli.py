@@ -316,8 +316,8 @@ class TestInputErrors:
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("text, named", [
-        ('{"model": {"chanels": 4}}', "unknown model config field 'chanels'"),
-        ('{"train": {"max_epoch": 1}}', "unknown train config field 'max_epoch'"),
+        ('{"model": {"chanels": 4}}', "ModelConfig.__init__() got an unexpected keyword argument 'chanels'"),
+        ('{"train": {"max_epoch": 1}}', "TrainConfig.__init__() got an unexpected keyword argument 'max_epoch'"),
         ('{"modle": {}}', "unknown section 'modle'"),
         ('[{"model": {}}]', "expected a JSON object"),
         ('{"model": {"categories_decoded": ["vehicle", "vehicle"]}}',

@@ -213,6 +213,28 @@ def two_entry_record(meta, arrays):
     meta["trainer"]["records"][1] = meta["trainer"]["records"][1][:2]
 
 
+def records_gap(meta, arrays):
+    meta["trainer"]["records"][1][0] = 5
+
+
+# edits that a resume must refuse before its first epoch
+BEFORE_TRAINING = [
+    (lambda meta, _: meta["trainer"].update(train_config=[1]),
+     "trainer field 'train_config' is missing or malformed: TypeError"),
+    (lambda meta, _: meta["trainer"]["train_config"].pop("seed"),
+     "trainer field 'train_config' is missing or malformed: KeyError('seed')"),
+    (lambda meta, _: meta["trainer"]["train_config"].update(batch_size=0),
+     "trainer field 'train_config' is missing or malformed: DataError"),
+    (lambda meta, _: meta["trainer"].update(epoch_count=5),
+     "trainer field 'epoch_count' is 5, but 'records' holds 3 epochs"),
+    (records_gap, "trainer field 'records' is missing or malformed: "
+                  "DataError('epoch record 5 after 1 records"),
+]
+BEFORE_TRAINING_IDS = ["train_config a list", "train_config without seed",
+                       "train_config batch_size 0", "epoch_count 5 of 3",
+                       "records gap"]
+
+
 class TestCheckpointMetadata:
     @pytest.mark.parametrize("edit, named", [
         (lambda meta, _: meta["trainer"].pop("rng_state"),
@@ -231,9 +253,10 @@ class TestCheckpointMetadata:
          "expected (6, 2)"),
         (lambda _, arrays: arrays.pop("adam.v.embed.weight"),
          "optimizer state for 'embed.weight' missing"),
-    ], ids=["no rng_state", "no step_count", "no learning_rate", "no epoch_count",
-            "records row of two", "trainer a string", "moment of shape (1,)",
-            "no second moment"])
+    ] + BEFORE_TRAINING, ids=["no rng_state", "no step_count", "no learning_rate",
+                              "no epoch_count", "records row of two",
+                              "trainer a string", "moment of shape (1,)",
+                              "no second moment"] + BEFORE_TRAINING_IDS)
     def test_bad_metadata_is_format_error_naming_field(self, tmp_path,
                                                        trainer_checkpoint,
                                                        edit, named):
@@ -241,6 +264,18 @@ class TestCheckpointMetadata:
         damage(trainer_checkpoint, path, edit)
         with pytest.raises(FormatError, match=re.escape(named)):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("edit, named", BEFORE_TRAINING, ids=BEFORE_TRAINING_IDS)
+    def test_resume_refuses_bad_metadata_before_training(self, tmp_path,
+                                                         trainer_checkpoint,
+                                                         edit, named):
+        path = tmp_path / "damaged.npz"
+        damage(trainer_checkpoint, path, edit)
+        epochs = []
+        with pytest.raises(FormatError, match=re.escape(named)):
+            train(make_synthetic_dataset(2), small_model(),
+                  small_train(max_epochs=4), resume=path, progress=epochs.append)
+        assert epochs == []
 
     def test_undamaged_copy_loads(self, tmp_path, trainer_checkpoint):
         path = tmp_path / "copy.npz"
@@ -254,7 +289,7 @@ class TestCheckpointResume:
         result = train(samples, small_model(), small_train(max_epochs=3))
         path = tmp_path / "ckpt.npz"
         checkpoint_save(path, result.params, result.optimizer, result.rng,
-                        3, result.record)
+                        result.record)
         params, optimizer, rng, epochs, record = checkpoint_load(path)
         assert epochs == 3
         for name in result.params.names():
@@ -272,7 +307,7 @@ class TestCheckpointResume:
 
         part = train(samples, model, small_train(batch_size=2, max_epochs=5))
         path = tmp_path / "ckpt.npz"
-        checkpoint_save(path, part.params, part.optimizer, part.rng, 5,
+        checkpoint_save(path, part.params, part.optimizer, part.rng,
                         part.record)
         resumed = train(samples, model, small_train(batch_size=2, max_epochs=8),
                         resume=path)
@@ -289,7 +324,7 @@ class TestCheckpointResume:
 
         part = train(samples, model, small_train(batch_size=2, max_epochs=3))
         path = tmp_path / "ckpt.npz"
-        checkpoint_save(path, part.params, part.optimizer, part.rng, 3,
+        checkpoint_save(path, part.params, part.optimizer, part.rng,
                         part.record)
         record_adam_fields(path, beta1=0.9, beta2=0.999, epsilon=1e-8)
         resumed = train(samples, model, small_train(batch_size=2, max_epochs=6),
@@ -305,7 +340,7 @@ class TestCheckpointResume:
         result = train(samples, small_model(), small_train(max_epochs=1))
         path = tmp_path / "ckpt.npz"
         checkpoint_save(path, result.params, result.optimizer, result.rng,
-                        1, result.record)
+                        result.record)
         record_adam_fields(path, beta1=0.8, beta2=0.999, epsilon=1e-8)
         with pytest.raises(FormatError, match="'beta1' is 0.8, expected 0.9"):
             checkpoint_load(path)
@@ -317,7 +352,7 @@ class TestCheckpointResume:
         result = train(samples, small_model(), small_train(max_epochs=1))
         path = tmp_path / "ckpt.npz"
         checkpoint_save(path, result.params, result.optimizer, result.rng,
-                        1, result.record)
+                        result.record)
         wider = ModelConfig(channels=9, t_obs_points=6, t_pred=6)
         with pytest.raises(FormatError, match="embed.weight"):
             checkpoint_load(path, expected_config=wider)
@@ -327,7 +362,7 @@ class TestCheckpointResume:
         result = train(samples, small_model(), small_train(max_epochs=1))
         path = tmp_path / "ckpt.npz"
         checkpoint_save(path, result.params, result.optimizer, result.rng,
-                        1, result.record)
+                        result.record)
         turned = ModelConfig(channels=6, t_obs_points=6, t_pred=6,
                              beta_degrees=30.0)
         with pytest.raises(FormatError, match="'beta_degrees' is 20.0, expected 30.0"):
@@ -337,10 +372,11 @@ class TestCheckpointResume:
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         samples = make_synthetic_dataset(2)
+        first = train(samples, small_model(), small_train(max_epochs=1))
         result = train(samples, small_model(), small_train(max_epochs=2))
         path = tmp_path / "ckpt.npz"
-        checkpoint_save(path, result.params, result.optimizer, result.rng,
-                        1, result.record)
+        checkpoint_save(path, first.params, first.optimizer, first.rng,
+                        first.record)
 
         def savez_then_fail(file, **arrays):
             file.write(b"PK\x03\x04 truncated")
@@ -349,7 +385,7 @@ class TestCheckpointResume:
         monkeypatch.setattr(np, "savez", savez_then_fail)
         with pytest.raises(OSError, match="disk full"):
             checkpoint_save(path, result.params, result.optimizer, result.rng,
-                            2, result.record)
+                            result.record)
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
         _, _, _, epochs, _ = checkpoint_load(path)
