@@ -1,7 +1,8 @@
 """The reverse-mode core and its finite-difference verifier.
 
 Runs two pieces of the network by hand, a channel map (the 1x1 convolution
-that embeds coordinates) and a GRU step, backpropagates a squared error,
+that embeds coordinates) and a GRU scan over the embedded frames (one graph
+node with a hand-written backward), backpropagates a squared error,
 and then lets the verifier compare every analytic gradient against central
 differences. Adam then fits the same pieces to the target.
 """
@@ -15,8 +16,9 @@ from epg_mgcn.optim import Adam
 
 rng = np.random.default_rng(0)
 
-# 4 agents' 2-D positions, embedded to 5 channels, then one GRU step
-positions = Tensor(rng.normal(size=(4, 2)), requires_grad=True, name="positions")
+# 4 agents' 2-D positions over 3 frames, embedded to 5 channels, then a GRU
+# scan over the frames
+positions = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True, name="positions")
 hidden = Tensor(rng.normal(size=(4, 5)), name="hidden")
 target = rng.normal(size=(4, 5)) * 0.5
 params = {"embed.weight": Tensor(rng.normal(size=(5, 2)), requires_grad=True),
@@ -31,7 +33,7 @@ gru = GRUParams(**{f: params[f"gru.{f}"] for f in GRUParams.FIELDS})
 def loss_fn():
     embedded = ag.channel_mix(positions, params["embed.weight"],
                               params["embed.bias"])
-    diff = ag.sub(ag.gru_cell(embedded, hidden, gru), target)
+    diff = ag.add(ag.gru_scan(embedded, hidden, gru), -target)
     return ag.tsum(ag.mul(diff, diff))
 
 

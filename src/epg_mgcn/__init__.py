@@ -10,7 +10,7 @@ deterministic reverse-mode core with a finite-difference verifier.
 
 __version__ = "0.1.0"
 
-from .autograd import GRUParams, Tensor, gru_cell
+from .autograd import GRUParams, Tensor
 from .gradcheck import finite_diff_check
 from .graphs import (
     AdjacencySet,

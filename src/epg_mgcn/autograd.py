@@ -1,26 +1,28 @@
 """Minimal reverse-mode differentiation core.
 
 Holds only the primitives the prediction network calls: elementwise
-``add``, ``sub``, ``mul`` and ``relu`` (with numpy broadcasting), a full
-``tsum``, ``reshape``, indexing, ``stack`` and ``concat``, the
-block-diagonal product of the spatial mixing, same-padded temporal
-convolution (without a bias: the graph-conv blocks use none), per-position
-channel mixing over the last axis (1x1 convolution), and a GRU cell.
-Composed ops that only test oracles use live with the tests.
-Tensors wrap contiguous numpy arrays; every operation is deterministic and
-the backward pass visits nodes in reverse topological order, so identical
-inputs give bitwise-identical outputs and gradients.
+``add``, ``mul`` and ``relu`` (with numpy broadcasting), a full ``tsum``,
+indexing and ``concat``, the block-diagonal product
+of the spatial mixing, same-padded temporal convolution (without a bias:
+the graph-conv blocks use none), per-position channel mixing over the last
+axis (1x1 convolution), and the two GRU recurrences: ``gru_scan`` (an
+encoder over T frames) and ``gru_rollout`` (a decoder that feeds its
+positions back). Composed ops that only test oracles use live with the
+tests. Tensors wrap contiguous numpy arrays; every operation is
+deterministic and the backward pass visits nodes in reverse topological
+order, so identical inputs give bitwise-identical outputs and gradients.
 
 No hardware acceleration: each primitive is one graph node with its own
 backward, checked against finite differences (``gradcheck``) and against a
 composed or loop oracle in the tests. Inside a primitive, the hot paths are
 lowered to BLAS matrix products (``temporal_conv`` on time-major (N, T, C)
 input via one product with every tap's kernel side by side plus shifted
-sums, ``channel_mix`` via one 2-D product, ``gru_cell`` via one product for
-the three input projections and one for the two gate projections of the
-hidden state), because per-tap, per-element or per-gate graph nodes
-dominate the run time at the model's sizes. ``gru_cell`` is one node with a
-hand-written backward; its gate convention is the one in its docstring.
+sums, ``channel_mix`` via one 2-D product, ``gru_scan`` via one product for
+every frame's input projections before the recurrence), because per-tap,
+per-element, per-gate or per-step graph nodes dominate the run time at the
+model's sizes. ``gru_cell`` is not a node and not exported: it is the
+array-level step that both recurrences run at every step, looked up in this
+module at call time; its gate convention is the one in its docstring.
 """
 
 from __future__ import annotations
@@ -37,17 +39,15 @@ __all__ = [
     "GRUParams",
     "as_tensor",
     "add",
-    "sub",
     "mul",
     "block_matmul",
     "relu",
     "tsum",
-    "reshape",
-    "stack",
     "concat",
     "temporal_conv",
     "channel_mix",
-    "gru_cell",
+    "gru_scan",
+    "gru_rollout",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -213,19 +213,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
@@ -315,17 +302,6 @@ def tsum(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _make(out_data, (a,), backward)
-
-
 def _is_basic_key(key) -> bool:
     """True when ``key`` indexes by integers, slices, ``None`` and ``...``
     only, so each element of ``a[key]`` is a distinct element of ``a``."""
@@ -343,10 +319,7 @@ def _getitem(a: Tensor, key) -> Tensor:
         out_data = np.asarray(out_data)
     basic = _is_basic_key(key)
 
-    # Add into the slice of the parent's gradient instead of scattering into
-    # a zero buffer of the parent's size: a scan that reads every frame of a
-    # (B, C, T) input would otherwise move O(T^2) memory in backward.
-    def backward(g):
+    def backward(g):  # adds into the parent's gradient, never a fresh buffer
         if basic:
             a._grad_buffer()[key] += g
         else:  # index arrays may repeat an element, which must accumulate
@@ -355,38 +328,18 @@ def _getitem(a: Tensor, key) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def stack(tensors: Iterable, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise UsageError("stack() needs at least one tensor")
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise DimensionError(f"stack() requires identical shapes, got {sorted(shapes)}")
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        slices = np.moveaxis(g, axis, 0)
-        for t, gs in zip(tensors, slices):
-            if t.requires_grad:
-                t._accumulate(gs)
-
-    return _make(out_data, tensors, backward)
-
-
-def concat(tensors: Iterable, axis: int = 0) -> Tensor:
+def concat(tensors: Iterable) -> Tensor:
+    """Join tensors along their first axis."""
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise UsageError("concat() needs at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate([t.data for t in tensors])
+    offsets = np.cumsum([0] + [len(t.data) for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(index)])
+                t._accumulate(g[lo:hi])
 
     return _make(out_data, tensors, backward)
 
@@ -489,18 +442,14 @@ def channel_mix(x, weight, bias=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# recurrent cell
+# recurrences
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class GRUParams:
-    """Weights of one GRU cell.
-
-    Input-to-hidden weights ``w_*`` are stored as (C_in, C_h) and
-    hidden-to-hidden ``u_*`` as (C_h, C_h), so both single vectors (C_in,)
-    and batched rows (B, C_in) go through the same ``x @ w`` product.
-    """
+    """Weights of one GRU cell: input-to-hidden ``w_*`` (C_in, C_h) and
+    hidden-to-hidden ``u_*`` (C_h, C_h), applied to rows as ``x @ w``."""
 
     w_z: Tensor
     u_z: Tensor
@@ -515,78 +464,178 @@ class GRUParams:
     FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 
-def _outer(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``a^T d`` for batched rows (B, m), (B, n); the outer product for
-    vectors (m,), (n,). Either way the (m, n) weight gradient."""
-    return a.T @ d if a.ndim == 2 else np.outer(a, d)
+def _gru_arrays(params: GRUParams) -> tuple:
+    """``[w_z|w_r|w_h]`` (C_in, 3C), ``[u_z|u_r]`` (C, 2C), ``[b_z|b_r]``,
+    ``u_h`` and ``b_h``: concatenated once per node call, not per step."""
+    p = params
+    return (np.concatenate([p.w_z.data, p.w_r.data, p.w_h.data], axis=1),
+            np.concatenate([p.u_z.data, p.u_r.data], axis=1),
+            np.concatenate([p.b_z.data, p.b_r.data]), p.u_h.data, p.b_h.data)
 
 
-def gru_cell(x, h, params: GRUParams) -> Tensor:
-    """One GRU step with the fixed gate convention
+def _gru_buffers(h0: Tensor, steps: int, dtype) -> tuple:
+    """Hidden states (steps + 1, B, C) from ``h0``, gates ``[z|r]``
+    (steps, B, 2C) and candidates (steps, B, C), for :func:`gru_cell`."""
+    (b, c), shape = h0.shape, (steps, len(h0.data))
+    hs = np.empty((steps + 1, b, c), dtype)
+    hs[0] = h0.data
+    return hs, np.empty(shape + (2 * c,), dtype), np.empty(shape + (c,), dtype)
 
-        z = sigmoid(x w_z + h u_z + b_z)
-        r = sigmoid(x w_r + h u_r + b_r)
-        n = tanh(x w_h + (r * h) u_h + b_h)
-        h' = (1 - z) * h + z * n
 
-    ``x`` is (C_in,) or (B, C_in); ``h`` matches with (C_h,) or (B, C_h).
+def gru_cell(xw, h, arrays, zr, n, h_next) -> None:
+    """One GRU step on arrays, with the fixed gate convention
 
-    One graph node with a hand-written backward; its parents are ``x``,
-    ``h`` and the nine parameters in ``GRUParams.FIELDS`` order. The three
-    input projections are one product with ``[w_z|w_r|w_h]`` and the two
-    gate projections of ``h`` one product with ``[u_z|u_r]``. The backward
-    closure keeps only the (B, C_h) activations: the concatenated weights
-    are rebuilt when backward runs, because holding a copy per step until
-    then raises peak memory in training.
-    """
-    x, h = as_tensor(x), as_tensor(h)
-    if x.ndim != h.ndim or (x.ndim == 2 and x.shape[0] != h.shape[0]):
-        raise DimensionError(
-            f"gru_cell: input and hidden batch shapes disagree: {x.shape} vs {h.shape}"
-        )
-    weights = [getattr(params, f) for f in GRUParams.FIELDS]
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = weights
-    if x.ndim not in (1, 2) or x.shape[-1] != w_z.shape[0] or h.shape[-1] != u_z.shape[0]:
-        raise DimensionError(
-            f"gru_cell: input {x.shape} and hidden {h.shape} do not fit "
-            f"w_z {w_z.shape} and u_z {u_z.shape}"
-        )
+        z = sigmoid(x w_z + h u_z + b_z),  r = sigmoid(x w_r + h u_r + b_r)
+        n = tanh(x w_h + (r * h) u_h + b_h),  h' = (1 - z) * h + z * n
 
-    def w_in():  # [w_z|w_r|w_h], (C_in, 3C)
-        return np.concatenate([w_z.data, w_r.data, w_h.data], axis=1)
-
-    def u_zr():  # [u_z|u_r], (C, 2C)
-        return np.concatenate([u_z.data, u_r.data], axis=1)
-
+    The step kernel of :func:`gru_scan` and :func:`gru_rollout`, not a
+    graph node: from ``xw`` = x [w_z|w_r|w_h] (B, 3C), ``h`` (B, C) and
+    :func:`_gru_arrays`, it writes ``[z|r]`` (one pass) into ``zr``, n into
+    ``n`` and h' into ``h_next``, in place and in the order above."""
+    _, u_zr, b_zr, u_h, b_h = arrays
     c = h.shape[-1]
-    xd, hd = x.data, h.data
-    xw = xd @ w_in()
-    hu = hd @ u_zr()
-    z = 1.0 / (1.0 + np.exp(-(xw[..., :c] + hu[..., :c] + b_z.data)))
-    r = 1.0 / (1.0 + np.exp(-(xw[..., c : 2 * c] + hu[..., c:] + b_r.data)))
-    rh = r * hd
-    n = np.tanh(xw[..., 2 * c :] + rh @ u_h.data + b_h.data)
-    out_data = (1.0 - z) * hd + z * n
+    np.matmul(h, u_zr, out=zr)
+    np.add(xw[:, : 2 * c], zr, out=zr)
+    zr += b_zr
+    np.negative(zr, out=zr)
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.divide(1.0, zr, out=zr)
+    z, r = zr[:, :c], zr[:, c:]
+    rh = r * h
+    np.matmul(rh, u_h, out=n)
+    np.add(xw[:, 2 * c :], n, out=n)
+    n += b_h
+    np.tanh(n, out=n)
+    np.subtract(1.0, z, out=h_next)
+    h_next *= h
+    h_next += np.multiply(z, n, out=rh)
+
+
+def _gru_cell_grad(g, h, zr, n, arrays, d) -> np.ndarray:
+    """Backward of one :func:`gru_cell` step from the gradient ``g`` on h':
+    writes the gradient at the gate inputs, ``[dz|dr|dn]``, into ``d``
+    (B, 3C) and returns the gradient on ``h``."""
+    _, u_zr, _, u_h, _ = arrays
+    c = h.shape[-1]
+    z, r = zr[:, :c], zr[:, c:]
+    d[:, 2 * c :] = g * z * (1.0 - n * n)  # at the tanh input
+    drh = d[:, 2 * c :] @ u_h.T
+    d[:, c : 2 * c] = drh * h * r * (1.0 - r)  # at the sigmoid inputs
+    d[:, :c] = g * (n - h) * z * (1.0 - z)
+    return g * (1.0 - z) + drh * r + d[:, : 2 * c] @ u_zr.T
+
+
+def _gru_weight_grads(params: GRUParams, x2, hs, r, d) -> None:
+    """Accumulate the nine weight gradients, one product over all M = T*B
+    rows each, from the steps' inputs ``x2`` (M, C_in), hidden states and
+    reset gates ``hs``, ``r`` (T, B, C) and gate-input gradients ``d``."""
+    c = hs.shape[-1]
+    dw = x2.T @ d
+    du = hs.reshape(-1, c).T @ d[:, : 2 * c]
+    db = d.sum(axis=0)
+    p = params
+    for t, gt in [(p.w_z, dw[:, :c]), (p.w_r, dw[:, c : 2 * c]), (p.w_h, dw[:, 2 * c :]),
+                  (p.u_z, du[:, :c]), (p.u_r, du[:, c:]),
+                  (p.u_h, (r * hs).reshape(-1, c).T @ d[:, 2 * c :]),
+                  (p.b_z, db[:c]), (p.b_r, db[c : 2 * c]), (p.b_h, db[2 * c :])]:
+        if t.requires_grad:
+            t._accumulate(gt)
+
+
+def gru_scan(xs, h0, params: GRUParams) -> Tensor:
+    """Run a GRU over the T frames of ``xs`` (B, T, C_in) from ``h0`` (B, C)
+    and return the final hidden state (B, C): one node, whose parents are
+    ``xs``, ``h0`` and the nine ``GRUParams.FIELDS``. The input projections
+    of all frames are one (T*B, C_in) product before the recurrence, and
+    backward keeps only the hidden-state products in its loop over frames.
+    The closure keeps the (T, B, C) activations, not the joined weights."""
+    xs, h0 = as_tensor(xs), as_tensor(h0)
+    c_in, c = params.w_z.shape
+    if xs.ndim != 3 or xs.shape[2] != c_in or h0.shape != (len(xs.data), c):
+        raise DimensionError(f"gru_scan: xs {xs.shape} and h0 {h0.shape} do not fit "
+                             f"(B, T, {c_in}) and (B, {c})")
+    b, t, _ = xs.shape
+    arrays = _gru_arrays(params)
+
+    def frame_rows():  # (T*B, C_in), frame after frame
+        return xs.data.transpose(1, 0, 2).reshape(t * b, c_in)
+
+    xw = (frame_rows() @ arrays[0]).reshape(t, b, 3 * c)
+    hs, zr, n = _gru_buffers(h0, t, np.result_type(xw, h0.data))
+    for k in range(t):
+        gru_cell(xw[k], hs[k], arrays, zr[k], n[k], hs[k + 1])
 
     def backward(g):
-        dn = g * z * (1.0 - n * n)  # at the tanh input
-        drh = dn @ u_h.data.T
-        dr = drh * hd * r * (1.0 - r)  # at the sigmoid inputs
-        dz = g * (n - hd) * z * (1.0 - z)
-        d_in = np.concatenate([dz, dr, dn], axis=-1)  # (..., 3C)
-        d_zr = d_in[..., : 2 * c]
-        dw = _outer(xd, d_in)
-        du = _outer(hd, d_zr)
-        db = d_in.sum(axis=0) if d_in.ndim == 2 else d_in
-        for t, gt in [(w_z, dw[:, :c]), (w_r, dw[:, c : 2 * c]), (w_h, dw[:, 2 * c :]),
-                      (u_z, du[:, :c]), (u_r, du[:, c:]), (u_h, _outer(rh, dn)),
-                      (b_z, db[:c]), (b_r, db[c : 2 * c]), (b_h, db[2 * c :])]:
+        arrays = _gru_arrays(params)
+        d = np.empty((t, b, 3 * c), dtype=g.dtype)
+        for k in reversed(range(t)):
+            g = _gru_cell_grad(g, hs[k], zr[k], n[k], arrays, d[k])
+        d = d.reshape(t * b, 3 * c)
+        _gru_weight_grads(params, frame_rows(), hs[:t], zr[:, :, c:], d)
+        if xs.requires_grad:
+            xs._accumulate((d @ arrays[0].T).reshape(t, b, c_in).transpose(1, 0, 2))
+        if h0.requires_grad:
+            h0._accumulate(g)
+
+    weights = [getattr(params, f) for f in GRUParams.FIELDS]
+    return _make(hs[t], [xs, h0] + weights, backward)
+
+
+def gru_rollout(pos0, h0, params: GRUParams, embed_weight, embed_bias,
+                out_weight, out_bias, steps: int) -> Tensor:
+    """Roll a GRU decoder out for ``steps`` steps from positions ``pos0``
+    (B, 2) and hidden state ``h0`` (B, C); returns the positions (B, steps,
+    2). A step embeds the position (``embed_weight`` (C_in, 2) and its
+    bias, as :func:`channel_mix` does), runs :func:`gru_cell`, maps h' to a
+    displacement (``out_weight`` (2, C) and its bias) and adds it on. One
+    node, whose parents are ``pos0``, ``h0``, the nine ``GRUParams.FIELDS``
+    and the four maps; as the positions feed back, backward's loop also
+    carries the input path, and each weight gradient is one product."""
+    pos0, h0 = as_tensor(pos0), as_tensor(h0)
+    maps = [as_tensor(m) for m in (embed_weight, embed_bias, out_weight, out_bias)]
+    e_w, e_b, o_w, o_b = maps
+    c_in, c = params.w_z.shape
+    b = len(pos0.data)
+    if (pos0.shape != (b, 2) or h0.shape != (b, c) or e_w.shape != (c_in, 2)
+            or o_w.shape != (2, c)):
+        raise DimensionError(
+            f"gru_rollout: positions {pos0.shape}, hidden {h0.shape}, embed {e_w.shape} "
+            f"and out {o_w.shape} do not fit (B, 2), (B, {c}), ({c_in}, 2) and (2, {c})")
+    arrays = _gru_arrays(params)
+    hs, zr, n = _gru_buffers(h0, steps, np.result_type(pos0.data, h0.data, arrays[0]))
+    pos, inp = np.empty((steps + 1, b, 2), hs.dtype), np.empty((steps, b, c_in), hs.dtype)
+    pos[0] = pos0.data
+    for k in range(steps):
+        np.matmul(pos[k], e_w.data.T, out=inp[k])
+        inp[k] += e_b.data
+        gru_cell(inp[k] @ arrays[0], hs[k], arrays, zr[k], n[k], hs[k + 1])
+        delta = hs[k + 1] @ o_w.data.T
+        delta += o_b.data
+        np.add(pos[k], delta, out=pos[k + 1])
+
+    def backward(g):
+        arrays = _gru_arrays(params)
+        d = np.empty((steps, b, 3 * c), dtype=g.dtype)
+        d_inp, d_delta = np.empty(inp.shape, g.dtype), np.empty(pos[1:].shape, g.dtype)
+        dpos, dh = np.zeros((b, 2), g.dtype), np.zeros((b, c), g.dtype)
+        for k in reversed(range(steps)):
+            dpos += g[:, k]  # now the gradient on pos[k + 1]
+            d_delta[k] = dpos
+            dh = _gru_cell_grad(dh + dpos @ o_w.data, hs[k], zr[k], n[k], arrays, d[k])
+            np.matmul(d[k], arrays[0].T, out=d_inp[k])
+            dpos += d_inp[k] @ e_w.data
+        rows = steps * b
+        _gru_weight_grads(params, inp.reshape(rows, c_in), hs[:steps], zr[:, :, c:],
+                          d.reshape(rows, 3 * c))
+        d_delta, d_inp = d_delta.reshape(rows, 2), d_inp.reshape(rows, c_in)
+        for t, gt in [(e_w, d_inp.T @ pos[:steps].reshape(rows, 2)),
+                      (e_b, d_inp.sum(axis=0)),
+                      (o_w, d_delta.T @ hs[1:].reshape(rows, c)),
+                      (o_b, d_delta.sum(axis=0)), (pos0, dpos), (h0, dh)]:
             if t.requires_grad:
                 t._accumulate(gt)
-        if x.requires_grad:
-            x._accumulate(d_in @ w_in().T)
-        if h.requires_grad:
-            dh = g * (1.0 - z) + drh * r
-            h._accumulate(dh + d_zr @ u_zr().T)
 
-    return _make(out_data, [x, h] + weights, backward)
+    weights = [getattr(params, f) for f in GRUParams.FIELDS]
+    out_data = np.ascontiguousarray(pos[1:].transpose(1, 0, 2))
+    return _make(out_data, [pos0, h0] + weights + maps, backward)

@@ -57,6 +57,15 @@ _GATES = ("z", "r", "h")
 CHECKPOINT_VERSION = 2
 
 
+def require_integers(config, names, error) -> None:
+    """Raise ``error`` naming the first of the fields ``names`` of
+    ``config`` that holds a bool or a non-integer; numpy integers pass."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture switches; the ablation ladder toggles the last three."""
@@ -73,6 +82,8 @@ class ModelConfig:
     beta_degrees: float = 20.0
 
     def __post_init__(self):
+        require_integers(self, ("channels", "blocks_per_branch", "t_obs_points",
+                                "t_pred"), UsageError)
         object.__setattr__(self, "categories_decoded", tuple(self.categories_decoded))
         object.__setattr__(self, "enabled_graphs", tuple(self.enabled_graphs))
         if not self.enabled_graphs:
@@ -282,15 +293,13 @@ def encode_plan(ego_plan: np.ndarray, params: ModelParams,
     zero initial state; returns the final hidden state. One (T_pred, 2)
     plan gives (C,); S plans stacked time-major, (T_pred, S, 2), run as the
     S rows of one scan and give (S, C)."""
-    embedded = ag.channel_mix(Tensor(np.asarray(ego_plan)),
-                              params["plan.embed.weight"],
-                              params["plan.embed.bias"])  # (T, [S,] C)
-    gru = params.gru("plan.gru")
-    h = Tensor(np.zeros(embedded.shape[1:-1] + (config.channels,),
-                        dtype=embedded.data.dtype))
-    for t in range(embedded.shape[0]):
-        h = ag.gru_cell(embedded[t], h, gru)
-    return h
+    plan = np.asarray(ego_plan)
+    rows = plan.reshape(len(plan), -1, 2).swapaxes(0, 1)  # (S, T, 2)
+    embedded = ag.channel_mix(Tensor(rows), params["plan.embed.weight"],
+                              params["plan.embed.bias"])  # (S, T, C)
+    h0 = np.zeros((len(rows), config.channels), dtype=embedded.data.dtype)
+    h = ag.gru_scan(embedded, Tensor(h0), params.gru("plan.gru"))
+    return h if plan.ndim == 3 else h[0]
 
 
 def fuse_plan_features(f_graphs: Tensor, plan_encoding,
@@ -298,14 +307,13 @@ def fuse_plan_features(f_graphs: Tensor, plan_encoding,
     """Fuse the graph features (N, T, C) with the plan encoding by a 1x1
     convolution over the two plus ReLU (:func:`_fuse`). The encoding is one
     (C,) vector for every agent or one (N, C) row per agent; viewed as
-    (1, 1, C) or (N, 1, C), it broadcasts over agents and frames. With
+    (1, C) or (N, 1, C), it broadcasts over agents and frames. With
     planning fusion disabled this is just ReLU of the graph features (no
     parameters)."""
     if not config.planning_fusion_enabled:
         return ag.relu(f_graphs)
-    plan = ag.reshape(plan_encoding, (-1, 1, f_graphs.shape[-1]))
-    return _fuse([f_graphs, plan], params["plan_fusion.weight"],
-                 params["plan_fusion.bias"])
+    return _fuse([f_graphs, plan_encoding[..., None, :]],
+                 params["plan_fusion.weight"], params["plan_fusion.bias"])
 
 
 def supervised_mask(sample: Sample, config: ModelConfig) -> np.ndarray:
@@ -328,9 +336,10 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     position as first input, and each step's hidden state projects to a
     displacement added onto the previous position. A decoder runs the
     agents of its category from every scene of the batch as one group: it
-    takes their rows of ``f_fusion`` by one index and stacks its positions
-    along a new step axis, (B, T_pred, 2). One more index puts the groups'
-    rows back in the scenes' agent order.
+    takes their rows of ``f_fusion`` by one index, scans them with one
+    ``gru_scan`` node and rolls the decoder out with one ``gru_rollout``
+    node, (B, T_pred, 2). One more index puts the groups' rows back in the
+    scenes' agent order.
     """
     scenes = _scenes(samples)
     categories = [c for s in scenes for c in s.categories]
@@ -352,29 +361,20 @@ def cs_gru_decode(f_fusion: Tensor, samples, params: ModelParams,
     for key in sorted(groups):
         idx = groups[key]
         f_in = f_fusion[idx]  # (B, T, C)
-        enc = params.gru(f"decoder.{key}.enc")
-        dec = params.gru(f"decoder.{key}.dec")
-        h = Tensor(np.zeros((len(idx), config.channels), dtype=f_in.data.dtype))
-        for t in range(f_in.shape[1]):
-            h = ag.gru_cell(f_in[:, t], h, enc)
-        pos = Tensor(current[idx])  # (B, 2)
-        steps = []
-        for _ in range(config.t_pred):
-            inp = ag.channel_mix(pos, params[f"decoder.{key}.pos_embed.weight"],
-                                 params[f"decoder.{key}.pos_embed.bias"])
-            h = ag.gru_cell(inp, h, dec)
-            delta = ag.channel_mix(h, params[f"decoder.{key}.out.weight"],
-                                   params[f"decoder.{key}.out.bias"])
-            pos = ag.add(pos, delta)
-            steps.append(pos)
-        blocks.append(ag.stack(steps, axis=1))  # (B, T_pred, 2)
+        h0 = np.zeros((len(idx), config.channels), dtype=f_in.data.dtype)
+        h = ag.gru_scan(f_in, Tensor(h0), params.gru(f"decoder.{key}.enc"))
+        blocks.append(ag.gru_rollout(  # (B, T_pred, 2)
+            current[idx], h, params.gru(f"decoder.{key}.dec"),
+            *(params[f"decoder.{key}.{name}"] for name in (
+                "pos_embed.weight", "pos_embed.bias", "out.weight", "out.bias")),
+            config.t_pred))
         order.extend(idx)
     if undecoded:
         last = current[undecoded]
         blocks.append(Tensor(np.repeat(last[:, None, :], config.t_pred, axis=1)))
         order.extend(undecoded)
 
-    combined = ag.concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
+    combined = ag.concat(blocks) if len(blocks) > 1 else blocks[0]
     inverse = np.empty(n, dtype=np.intp)
     inverse[np.asarray(order, dtype=np.intp)] = np.arange(n)
     return combined[inverse]
@@ -556,7 +556,7 @@ def prediction_loss(predictions: Tensor, samples, config: ModelConfig):
     if count == 0:
         return Tensor(0.0), 0
     weight = np.concatenate(weights)
-    diff = ag.sub(predictions, np.concatenate([s.future for s in scenes]))
+    diff = ag.add(predictions, -np.concatenate([s.future for s in scenes]))
     sq = ag.mul(diff, diff)
     return ag.tsum(ag.mul(sq, weight[:, :, None])), count
 
@@ -614,9 +614,13 @@ def read_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version!r} "
                           f"(this version reads {CHECKPOINT_VERSION})")
-    try:
-        stored_config = ModelConfig(**meta["model_config"])
-    except (KeyError, TypeError, ValueError) as exc:
+    given = meta.get("model_config", {})
+    try:  # a missing field would take its default, so each is looked up by name
+        stored_config = ModelConfig(
+            **({f.name: given[f.name] for f in fields(ModelConfig)} | given))
+    except KeyError as exc:
+        raise FormatError(f"{path}: stored model config lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad stored model config: {exc}") from None
     config = expected_config if expected_config is not None else stored_config
     trainer = meta.get("trainer")

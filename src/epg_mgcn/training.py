@@ -30,6 +30,7 @@ from .model import (
     prediction_loss,
     prepare_each,
     read_checkpoint,
+    require_integers,
     write_checkpoint,
 )
 from .optim import BETA1, BETA2, EPSILON, Adam
@@ -67,6 +68,8 @@ class TrainConfig:
     precision: str = "double"
 
     def __post_init__(self):
+        require_integers(self, ("batch_size", "decay_every_epochs", "max_epochs",
+                                "seed"), DataError)
         if self.batch_size < 1 or self.decay_every_epochs < 1:
             raise DataError("batch_size and decay_every_epochs must be positive")
         if self.initial_lr <= 0:

@@ -318,6 +318,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("text, named", [
         ('{"model": {"chanels": 4}}', "ModelConfig.__init__() got an unexpected keyword argument 'chanels'"),
         ('{"train": {"max_epoch": 1}}', "TrainConfig.__init__() got an unexpected keyword argument 'max_epoch'"),
+        ('{"train": {"batch_size": 2.5}}', "batch_size must be an integer, got 2.5"),
         ('{"modle": {}}', "unknown section 'modle'"),
         ('[{"model": {}}]', "expected a JSON object"),
         ('{"model": {"categories_decoded": ["vehicle", "vehicle"]}}',

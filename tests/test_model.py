@@ -949,6 +949,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="unexpected keyword argument 'chanels'"):
             load_params(path)
 
+    def test_missing_stored_config_field_rejected(self, tmp_path):
+        """Loading under the field's default would build other graphs."""
+        params = ModelParams.initialize(tiny_config(beta_degrees=35.0), seed=34)
+        path = tmp_path / "params.npz"
+        save_params(params, path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays.pop("__meta__")))
+        del meta["model_config"]["beta_degrees"]
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: stored model config lacks field 'beta_degrees'")):
+            load_params(path)
+
     def test_unexpected_entry_rejected(self, tmp_path):
         params = ModelParams.initialize(tiny_config(), seed=35)
         path = tmp_path / "params.npz"

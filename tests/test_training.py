@@ -60,6 +60,18 @@ class TestSchedule:
         with pytest.raises(DataError, match="max_epochs must be >= 0"):
             TrainConfig(max_epochs=-1)
 
+    @pytest.mark.parametrize("config_class, error", [(ModelConfig, UsageError),
+                                                     (TrainConfig, DataError)])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True])
+    def test_integer_fields_refuse_floats_and_bools(self, config_class, error, value):
+        names = {ModelConfig: ("channels", "blocks_per_branch", "t_obs_points", "t_pred"),
+                 TrainConfig: ("batch_size", "decay_every_epochs", "max_epochs", "seed")}
+        for name in names[config_class]:
+            with pytest.raises(error, match=re.escape(
+                    f"{name} must be an integer, got {value!r}")):
+                config_class(**{name: value})
+            assert getattr(config_class(**{name: np.int64(4)}), name) == 4
+
     def test_negative_epoch_is_refused(self):
         with pytest.raises(DataError, match="epoch must be >= 0"):
             lr_at(-1, TrainConfig())
